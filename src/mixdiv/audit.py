@@ -64,6 +64,11 @@ class Tolerances:
     eq: float = 1e-10
     prop: float = 1e-8
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise MixdivError(f"tolerance {name}={value!r} must be finite and > 0")
+
 
 DEFAULT_TOLERANCES = Tolerances()
 
@@ -131,6 +136,11 @@ def _report(
     )
 
 
+def _tagged(report: AuditReport, **meta) -> AuditReport:
+    """A copy of ``report`` whose detail ends with the suite's metadata."""
+    return AuditReport(**{**vars(report), "detail": {**report.detail, **meta}})
+
+
 def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
@@ -140,9 +150,7 @@ def _identity_report(
 ) -> AuditReport:
     """Encode an exact identity as a report: lhs is the relative difference,
     rhs is 0, so ``holds`` means agreement within the inequality tolerance."""
-    detail = dict(detail)
-    detail["value"] = float(value)
-    detail["reference"] = float(reference)
+    detail = {**detail, "value": float(value), "reference": float(reference)}
     return _report(name, _rel_diff(value, reference), 0.0, tol, True, detail)
 
 
@@ -150,6 +158,12 @@ def _require_prob(triples: Sequence[PairTriple], what: str) -> None:
     for t in triples:
         if not (t.p.prob_certified and t.q.prob_certified):
             raise NotProbability(f"{what} requires probability-certified densities")
+
+
+def _linear_mix(t: PairTriple) -> np.ndarray:
+    """(a*p + b*q) / (a + b) for a linear generator a*t + b."""
+    a, b = t.generator.params
+    return (a * t.p.values + b * t.q.values) / (a + b)
 
 
 def _rel_close(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
@@ -328,13 +342,8 @@ def check_concave_upper(
         )
     elif all(t.generator.kind == "linear" for t in triples):
         basis = "linear-remark"
-        combos = []
-        for t in triples:
-            a, b = t.generator.params
-            combos.append((a * t.p.values + b * t.q.values) / (a + b))
-        expected = all(
-            _rel_close(combos[0], c, tolerances.prop) for c in combos[1:]
-        )
+        combos = [_linear_mix(t) for t in triples]
+        expected = all(_rel_close(combos[0], c, tolerances.prop) for c in combos[1:])
 
     detail = {
         "n": int(n),
@@ -361,23 +370,13 @@ def check_jensen_bound(
         raise NotProbability("Jensen bounds require probability-certified densities")
     value = f_divergence(g, p, q)
     f_one = g(1.0)
-    if g.is_linear:
-        lhs, rhs, direction = value, f_one, "equality"
-    elif g.is_convex:
-        lhs, rhs, direction = f_one, value, "lower"
-    else:
-        lhs, rhs, direction = value, f_one, "upper"
-
-    if g.is_linear:
-        expected = True
-    elif g.strict:
-        expected = _rel_close(p.values, q.values, tolerances.prop)
-    else:
-        expected = False
-
     extra = True
-    if direction == "equality":
+    if g.is_linear:
+        lhs, rhs, direction, expected = value, f_one, "equality", True
         extra = abs(rhs - lhs) <= tolerances.ineq * max(1.0, abs(rhs))
+    else:
+        lhs, rhs, direction = (f_one, value, "lower") if g.is_convex else (value, f_one, "upper")
+        expected = g.strict and _rel_close(p.values, q.values, tolerances.prop)
     detail = {
         "generator": g.label,
         "shape": g.shape,
@@ -410,9 +409,8 @@ def check_interpolation(
         raise DegenerateIndices("interpolation endpoints must differ")
     if not (min(j, k) <= i <= max(j, k)):
         raise IndexOutOfRange(f"i={i} not between j={j} and k={k}")
-    for g in (pair1.generator, pair2.generator):
-        if not g.positive:
-            raise ShapeMismatch(f"{g.label} is not strictly positive on (0, inf)")
+    for role, g in (("f1", pair1.generator), ("f2", pair2.generator)):
+        _require_shape(g, "any", role)
 
     def at(index: float) -> float:
         return ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
@@ -443,15 +441,6 @@ def check_interpolation(
 
 # --- endpoint corollaries ---------------------------------------------------------
 
-COROLLARY_CASES = (
-    "concave_0_i_n",
-    "ref_concave",
-    "convex_concave_k_ge_n",
-    "ref_convex",
-    "concave_convex_k_le_0",
-    "ref_concave_k_le_0",
-)
-
 # (f1 requirement, f2 requirement, index predicate, direction of [D]^n vs bound)
 _CASE_TABLE = {
     "concave_0_i_n": ("concave", "concave", "unit", "le"),
@@ -460,6 +449,14 @@ _CASE_TABLE = {
     "ref_convex": ("convex", "any", "ge_n", "ge"),
     "concave_convex_k_le_0": ("concave", "convex", "le_0", "ge"),
     "ref_concave_k_le_0": ("concave", "any", "le_0", "ge"),
+}
+COROLLARY_CASES = tuple(_CASE_TABLE)
+
+#: index rule -> (admissible index range, range the suite draws from) for base n
+_INDEX_RULES = {
+    "unit": lambda n: ((0.0, n), (0.0, n)),
+    "ge_n": lambda n: ((n, math.inf), (n, n + 4.0)),
+    "le_0": lambda n: ((-math.inf, 0.0), (-4.0, 0.0)),
 }
 
 
@@ -510,12 +507,9 @@ def check_corollary(
             raise MixdivError(f"case {case!r} needs a second triple")
         other = pair2.generator
     _require_shape(other, req2, "f2")
-    if index_rule == "unit" and not (0.0 <= index <= n):
-        raise IndexOutOfRange(f"index={index} outside [0, {n}]")
-    if index_rule == "ge_n" and index < n:
-        raise IndexOutOfRange(f"index={index} must be >= n={n}")
-    if index_rule == "le_0" and index > 0.0:
-        raise IndexOutOfRange(f"index={index} must be <= 0")
+    (low, high), _ = _INDEX_RULES[index_rule](n)
+    if not low <= index <= high:
+        raise IndexOutOfRange(f"index={index} outside [{low}, {high}] for case {case!r}")
 
     if reference:
         _require_prob([pair1], "the corollary audit")
@@ -555,9 +549,7 @@ def _corollary_equality(
     if case.startswith("ref_"):
         ones = np.ones(pair1.space.n_atoms)
         if f1.kind == "linear":
-            a, b = f1.params
-            combo = (a * pair1.p.values + b * pair1.q.values) / (a + b)
-            return _rel_close(combo, ones, tol.prop), "linear-remark"
+            return _rel_close(_linear_mix(pair1), ones, tol.prop), "linear-remark"
         if f1.strict:
             ok = _rel_close(pair1.p.values, ones, tol.prop) and _rel_close(
                 pair1.q.values, ones, tol.prop
@@ -565,11 +557,7 @@ def _corollary_equality(
             return ok, "strict"
         return False, "none"
     if f1.kind == "linear" and f2.kind == "linear" and case != "concave_convex_k_le_0":
-        a1, b1 = f1.params
-        a2, b2 = f2.params
-        c1 = (a1 * pair1.p.values + b1 * pair1.q.values) / (a1 + b1)
-        c2 = (a2 * pair2.p.values + b2 * pair2.q.values) / (a2 + b2)
-        return _rel_close(c1, c2, tol.prop), "linear-remark"
+        return _rel_close(_linear_mix(pair1), _linear_mix(pair2), tol.prop), "linear-remark"
     if f1.strict and f2.strict:
         vecs = (pair1.p.values, pair1.q.values, pair2.p.values, pair2.q.values)
         ok = all(_rel_close(vecs[0], v, tol.prop) for v in vecs[1:])
@@ -602,11 +590,6 @@ class AuditConfig:
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
-_POWER_ALPHAS = (-1.0, -0.5, 0.25, 0.5, 0.75, 2.0, 3.0)
-_CONVEX_ALPHAS = (-1.0, -0.5, 2.0, 3.0)
-_CONCAVE_ALPHAS = (0.25, 0.5, 0.75)
-
-
 def _rand_space(rng, config: AuditConfig, probability: bool = False) -> MeasureSpace:
     n_atoms = int(rng.integers(config.min_atoms, config.max_atoms + 1))
     w = rng.uniform(0.25, 2.0, n_atoms)
@@ -621,45 +604,55 @@ def _rand_prob_density(rng, space: MeasureSpace) -> Density:
     return validate_density(space, d, require_prob=True)
 
 
+def _pick(rng, options: tuple):
+    """A uniform choice among ``options``; a single option consumes no RNG draw."""
+    return options[int(rng.integers(len(options)))] if len(options) > 1 else options[0]
+
+
+def _draw_linear(rng) -> Generator:
+    a, b = rng.uniform(0.1, 2.0, 2)
+    return make_generator("linear", a=a, b=b)
+
+
+def _draw_from(*gens: Generator):
+    return lambda rng: _pick(rng, gens)
+
+
+def _draw_power(*alphas: float):
+    return _draw_from(*(make_generator("power", alpha=a) for a in alphas))
+
+
+_ANY_POWER = _draw_power(-1.0, -0.5, 0.25, 0.5, 0.75, 2.0, 3.0)
+_CONVEX_POWER = _draw_power(-1.0, -0.5, 2.0, 3.0)
+_CONCAVE_POWER = _draw_power(0.25, 0.5, 0.75)
+_TV = _draw_from(make_generator("total_variation"))
+_KL = _draw_from(make_generator("kl_positive_part"))
+
+#: pool -> equally likely draws, each a function of the RNG
+_POOLS = {
+    "any": (_TV, _KL, _draw_linear, _ANY_POWER),
+    "convex": (_TV, _KL, _draw_linear, _CONVEX_POWER),
+    "concave": (_draw_linear, _CONCAVE_POWER, _CONCAVE_POWER),
+    "positive": (_draw_linear, _ANY_POWER, _ANY_POWER),
+    "positive_convex": (_draw_linear, _CONVEX_POWER, _CONVEX_POWER),
+    "positive_concave": (_draw_linear, _CONCAVE_POWER, _CONCAVE_POWER),
+    "strict_convex": (_CONVEX_POWER,),
+    "strict_concave": (_CONCAVE_POWER,),
+}
+
+
 def _rand_generator(rng, pool: str) -> Generator:
-    def lin() -> Generator:
-        a, b = rng.uniform(0.1, 2.0, 2)
-        return make_generator("linear", a=a, b=b)
+    if pool not in _POOLS:
+        raise MixdivError(f"unknown generator pool {pool!r}")
+    return _pick(rng, _POOLS[pool])(rng)
 
-    def pw(alphas) -> Generator:
-        return make_generator("power", alpha=float(alphas[rng.integers(len(alphas))]))
 
-    if pool == "any":
-        choice = int(rng.integers(4))
-        if choice == 0:
-            return make_generator("total_variation")
-        if choice == 1:
-            return make_generator("kl_positive_part")
-        if choice == 2:
-            return lin()
-        return pw(_POWER_ALPHAS)
-    if pool == "convex":
-        choice = int(rng.integers(4))
-        if choice == 0:
-            return make_generator("total_variation")
-        if choice == 1:
-            return make_generator("kl_positive_part")
-        if choice == 2:
-            return lin()
-        return pw(_CONVEX_ALPHAS)
-    if pool == "concave":
-        return lin() if rng.integers(3) == 0 else pw(_CONCAVE_ALPHAS)
-    if pool == "positive":
-        return lin() if rng.integers(3) == 0 else pw(_POWER_ALPHAS)
-    if pool == "positive_convex":
-        return lin() if rng.integers(3) == 0 else pw(_CONVEX_ALPHAS)
-    if pool == "positive_concave":
-        return lin() if rng.integers(3) == 0 else pw(_CONCAVE_ALPHAS)
-    if pool == "strict_convex":
-        return pw(_CONVEX_ALPHAS)
-    if pool == "strict_concave":
-        return pw(_CONCAVE_ALPHAS)
-    raise MixdivError(f"unknown generator pool {pool!r}")
+def _rand_triple(rng, space: MeasureSpace, pool: str) -> PairTriple:
+    return PairTriple(
+        _rand_generator(rng, pool),
+        _rand_prob_density(rng, space),
+        _rand_prob_density(rng, space),
+    )
 
 
 def _rand_triples(rng, config: AuditConfig, pool: str, space=None, n=None):
@@ -667,14 +660,7 @@ def _rand_triples(rng, config: AuditConfig, pool: str, space=None, n=None):
         space = _rand_space(rng, config)
     if n is None:
         n = int(rng.integers(1, config.max_pairs + 1))
-    return [
-        PairTriple(
-            _rand_generator(rng, pool),
-            _rand_prob_density(rng, space),
-            _rand_prob_density(rng, space),
-        )
-        for _ in range(n)
-    ]
+    return [_rand_triple(rng, space, pool) for _ in range(n)]
 
 
 def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
@@ -737,34 +723,22 @@ def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
 
 def _af_instance(rng, config: AuditConfig, pool: str, idx: int) -> list[AuditReport]:
     triples = _rand_triples(rng, config, pool)
-    out = []
-    for m in range(1, len(triples) + 1):
-        rep = check_alexandrov_fenchel(triples, m, config.tolerances)
-        rep.detail["instance"] = idx
-        out.append(rep)
-    return out
+    return [
+        _tagged(check_alexandrov_fenchel(triples, m, config.tolerances), instance=idx)
+        for m in range(1, len(triples) + 1)
+    ]
 
 
 def _interpolation_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     tol = config.tolerances
     space = _rand_space(rng, config)
     n = int(rng.integers(1, config.max_pairs + 1))
-    pair1 = PairTriple(
-        _rand_generator(rng, "positive"),
-        _rand_prob_density(rng, space),
-        _rand_prob_density(rng, space),
-    )
-    pair2 = PairTriple(
-        _rand_generator(rng, "positive"),
-        _rand_prob_density(rng, space),
-        _rand_prob_density(rng, space),
-    )
+    pair1 = _rand_triple(rng, space, "positive")
+    pair2 = _rand_triple(rng, space, "positive")
     j = float(rng.uniform(-3.0, n - 0.25))
     k = float(rng.uniform(j + 0.5, n + 3.0))
     i = float(rng.uniform(j, k))
-    rep = check_interpolation(pair1, pair2, n, i, j, k, tol)
-    rep.detail["instance"] = idx
-    out = [rep]
+    out = [_tagged(check_interpolation(pair1, pair2, n, i, j, k, tol), instance=idx)]
 
     spec0 = IthMixedSpec(pair1, pair2, i=0.0, n=n)
     spec_n = IthMixedSpec(pair1, pair2, i=float(n), n=n)
@@ -809,35 +783,26 @@ def _corollary_instance(rng, config: AuditConfig, case: str, idx: int) -> AuditR
     n = int(rng.integers(1, config.max_pairs + 1))
     pool1 = "positive_convex" if req1 == "convex" else "positive_concave"
     pool2 = {"convex": "positive_convex", "concave": "positive_concave", "any": "positive"}[req2]
-    pair1 = PairTriple(
-        _rand_generator(rng, pool1),
-        _rand_prob_density(rng, space),
-        _rand_prob_density(rng, space),
-    )
-    if index_rule == "unit":
-        index = float(rng.uniform(0.0, n))
-    elif index_rule == "ge_n":
-        index = float(rng.uniform(n, n + 4.0))
-    else:
-        index = float(rng.uniform(-4.0, 0.0))
+    pair1 = _rand_triple(rng, space, pool1)
+    _, draw_range = _INDEX_RULES[index_rule](n)
+    index = float(rng.uniform(*draw_range))
     if reference:
         rep = check_corollary(
             case, pair1, n, index, f2=_rand_generator(rng, pool2), tolerances=tol
         )
     else:
-        pair2 = PairTriple(
-            _rand_generator(rng, pool2),
-            _rand_prob_density(rng, space),
-            _rand_prob_density(rng, space),
-        )
+        pair2 = _rand_triple(rng, space, pool2)
         rep = check_corollary(case, pair1, n, index, pair2=pair2, tolerances=tol)
-    rep.detail["instance"] = idx
-    return rep
+    return _tagged(rep, instance=idx)
 
 
 def _equality_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     tol = config.tolerances
     out = []
+
+    def add(family: str, rep: AuditReport) -> None:
+        out.append(_tagged(rep, instance=idx, family=family))
+
     space = _rand_space(rng, config)
     n = int(rng.integers(1, config.max_pairs + 1))
     p = _rand_prob_density(rng, space)
@@ -847,79 +812,61 @@ def _equality_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     g = _rand_generator(rng, "convex")
     identical = [PairTriple(g, p, q)] * n
     m = int(rng.integers(1, n + 1))
-    rep = check_alexandrov_fenchel(identical, m, tol)
-    rep.detail.update(instance=idx, family="identical_triples")
-    out.append(rep)
+    add("identical_triples", check_alexandrov_fenchel(identical, m, tol))
 
     # scaled family: f_i = lambda_i * f with one shared pair
     f = _rand_generator(rng, "strict_convex")
     lams = rng.uniform(0.5, 3.0, n)
     scaled = [PairTriple(scale_generator(f, float(lam)), p, q) for lam in lams]
     m = int(rng.integers(1, n + 1))
-    rep = check_alexandrov_fenchel(scaled, m, tol)
-    rep.detail.update(instance=idx, family="scaled_generators")
-    out.append(rep)
+    add("scaled_generators", check_alexandrov_fenchel(scaled, m, tol))
 
     # concave chain with every density equal to one common p
     gens = [_rand_generator(rng, "strict_concave") for _ in range(n)]
     diagonal = [PairTriple(gg, p, p) for gg in gens]
-    rep = check_concave_upper(diagonal, tol)
-    rep.detail.update(instance=idx, family="common_density")
-    out.append(rep)
+    add("common_density", check_concave_upper(diagonal, tol))
 
     # Jensen: linear always, strict with p = q
     a, b = rng.uniform(0.1, 2.0, 2)
-    rep = check_jensen_bound(make_generator("linear", a=a, b=b), p, q, tol)
-    rep.detail.update(instance=idx, family="jensen_linear")
-    out.append(rep)
-    rep = check_jensen_bound(_rand_generator(rng, "strict_convex"), p, p, tol)
-    rep.detail.update(instance=idx, family="jensen_diagonal")
-    out.append(rep)
+    add("jensen_linear", check_jensen_bound(make_generator("linear", a=a, b=b), p, q, tol))
+    add("jensen_diagonal", check_jensen_bound(_rand_generator(rng, "strict_convex"), p, p, tol))
 
     # interpolation: i at an endpoint, and a proportional pair family
     f2 = _rand_generator(rng, "positive")
     pair1 = PairTriple(f2, p, q)
     j = float(rng.uniform(-2.0, n))
     k = float(rng.uniform(j + 0.5, n + 2.0))
-    rep = check_interpolation(pair1, PairTriple(_rand_generator(rng, "positive"), p, q),
-                              n, j, j, k, tol)
-    rep.detail.update(instance=idx, family="interpolation_endpoint")
-    out.append(rep)
+    pair2 = PairTriple(_rand_generator(rng, "positive"), p, q)
+    add("interpolation_endpoint", check_interpolation(pair1, pair2, n, j, j, k, tol))
     lam = float(rng.uniform(0.5, 3.0))
-    rep = check_interpolation(
+    add("interpolation_proportional", check_interpolation(
         PairTriple(scale_generator(f2, lam), p, q), pair1, n,
         float(rng.uniform(j, k)), j, k, tol,
-    )
-    rep.detail.update(instance=idx, family="interpolation_proportional")
-    out.append(rep)
+    ))
 
     # corollary equality: all four densities equal (strict shapes)
     f_cc = _rand_generator(rng, "strict_concave")
     g_cc = _rand_generator(rng, "strict_concave")
-    rep = check_corollary(
+    add("corollary_diagonal", check_corollary(
         "concave_0_i_n",
         PairTriple(f_cc, p, p),
         n,
         float(rng.uniform(0.0, n)),
         pair2=PairTriple(g_cc, p, p),
         tolerances=tol,
-    )
-    rep.detail.update(instance=idx, family="corollary_diagonal")
-    out.append(rep)
+    ))
 
     # reference corollary equality: P1 = Q1 = mu over a probability space
     prob_space = _rand_space(rng, config, probability=True)
     unit = validate_density(prob_space, np.ones(prob_space.n_atoms), require_prob=True)
-    rep = check_corollary(
+    add("corollary_reference", check_corollary(
         "ref_concave",
         PairTriple(_rand_generator(rng, "strict_concave"), unit, unit),
         n,
         float(rng.uniform(0.0, n)),
         f2=_rand_generator(rng, "positive"),
         tolerances=tol,
-    )
-    rep.detail.update(instance=idx, family="corollary_reference")
-    out.append(rep)
+    ))
     return out
 
 
@@ -940,19 +887,11 @@ def audit_suite(config: AuditConfig) -> list[AuditReport]:
         reports.extend(_af_instance(rng, config, "concave", idx))
     for idx in range(config.concave_chain):
         triples = _rand_triples(rng, config, "concave")
-        rep = check_concave_upper(triples, config.tolerances)
-        rep.detail["instance"] = idx
-        reports.append(rep)
+        reports.append(_tagged(check_concave_upper(triples, config.tolerances), instance=idx))
     for idx in range(config.jensen):
-        space = _rand_space(rng, config)
-        rep = check_jensen_bound(
-            _rand_generator(rng, "any"),
-            _rand_prob_density(rng, space),
-            _rand_prob_density(rng, space),
-            config.tolerances,
-        )
-        rep.detail["instance"] = idx
-        reports.append(rep)
+        t = _rand_triple(rng, _rand_space(rng, config), "any")
+        rep = check_jensen_bound(t.generator, t.p, t.q, config.tolerances)
+        reports.append(_tagged(rep, instance=idx))
     for idx in range(config.interpolation):
         reports.extend(_interpolation_instance(rng, config, idx))
     for case in COROLLARY_CASES:
@@ -968,23 +907,16 @@ def violations(reports: Sequence[AuditReport]) -> list[AuditReport]:
     return [r for r in reports if not r.holds]
 
 
+def tolerances_to_dict(tol: Tolerances) -> dict:
+    """JSON-ready form of tolerances: ``eps_<field>`` for each field."""
+    return {f"eps_{name}": value for name, value in vars(tol).items()}
+
+
 def report_to_dict(report: AuditReport) -> dict:
     """JSON-ready form of a report (field names match the dataclass)."""
-    return {
-        "name": report.name,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "holds": report.holds,
-        "equality_expected": report.equality_expected,
-        "equality_observed": report.equality_observed,
-        "tolerances": {
-            "eps_ineq": report.tolerances.ineq,
-            "eps_eq": report.tolerances.eq,
-            "eps_prop": report.tolerances.prop,
-        },
-        "detail": report.detail,
-    }
+    out = dict(vars(report))
+    out["tolerances"] = tolerances_to_dict(report.tolerances)
+    return out
 
 
 def reports_to_json(reports: Sequence[AuditReport]) -> str:

@@ -20,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .audit import (
     audit_suite,
     check_alexandrov_fenchel,
     report_to_dict,
+    tolerances_to_dict,
     violations,
 )
 from .divergence import (
@@ -44,14 +45,7 @@ from .divergence import (
     mixed_renyi,
 )
 from .errors import MixdivError, ParseError
-from .generators import (
-    Generator,
-    MultivariateGenerator,
-    generator_from_spec,
-    matusita_affinity,
-    paired,
-    toussaint_affinity,
-)
+from .generators import Generator, generator_from_spec, multivariate_from_spec
 from .geometry import (
     EllipsoidBody,
     ith_mixed_affine_surface_area,
@@ -59,6 +53,7 @@ from .geometry import (
     sphere_grid,
 )
 from .measures import (
+    EPS_NORM,
     Density,
     MeasureSpace,
     integrate,
@@ -68,13 +63,22 @@ from .measures import (
 )
 
 
+#: metadata of the job options that the report does not echo under ``inputs.options``
+_UNECHOED = {"echo": False}
+
+
 @dataclass
 class JobSpec:
-    """Everything one invocation needs; built by ``main`` from CLI flags."""
+    """Everything one invocation needs; built by ``main`` from CLI flags.
 
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
+    The fields are the one list of job options: each flag's argparse
+    ``dest`` is a field name, and the report's options echo is every field
+    not marked unechoed, in field order.
+    """
+
+    command: str = field(metadata=_UNECHOED)
+    input_path: Optional[str] = field(default=None, metadata=_UNECHOED)
+    output_path: Optional[str] = field(default=None, metadata=_UNECHOED)
     generator_specs: list = field(default_factory=list)
     alpha: Optional[float] = None
     i_values: list = field(default_factory=list)
@@ -83,9 +87,9 @@ class JobSpec:
     n: Optional[int] = None
     seed: int = 0
     instances: int = 1000
-    tol_ineq: Optional[float] = None
-    tol_eq: Optional[float] = None
-    tol_prop: Optional[float] = None
+    tol_ineq: Optional[float] = field(default=None, metadata=_UNECHOED)
+    tol_eq: Optional[float] = field(default=None, metadata=_UNECHOED)
+    tol_prop: Optional[float] = field(default=None, metadata=_UNECHOED)
     epsilon_floor: Optional[float] = None
     bodies: list = field(default_factory=list)
     dimension: Optional[int] = None
@@ -151,7 +155,7 @@ def _floor_values(values: Sequence[float], space: MeasureSpace, floor: float) ->
 
 def _certify(space: MeasureSpace, values, label: str, warnings: list) -> Density:
     total = integrate(space, np.asarray(values, dtype=float))
-    if abs(total - 1.0) <= 1e-9:
+    if abs(total - 1.0) <= EPS_NORM:
         return validate_density(space, values, require_prob=True)
     warnings.append(f"{label} integrates to {total!r}; treated as a raw density")
     return validate_density(space, values, require_prob=False)
@@ -217,62 +221,30 @@ def _pair_generators(spec: JobSpec, echo: dict, n_pairs: int) -> list[Generator]
     return [generator_from_spec(s) for s in specs]
 
 
-def _multivariate_from_spec(spec: dict) -> MultivariateGenerator:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise MixdivError(f"multivariate spec must be an object with 'kind': {spec!r}")
-    kind = spec["kind"].lower()
-    if kind == "matusita":
-        return matusita_affinity(int(spec["arity"]))
-    if kind == "toussaint":
-        return toussaint_affinity(spec["weights"])
-    if kind == "paired":
-        return paired(generator_from_spec(spec["f"]))
-    raise MixdivError(f"unknown multivariate kind {kind!r}")
-
-
 def _tolerances(spec: JobSpec) -> Tolerances:
-    base = Tolerances()
-    return Tolerances(
-        ineq=spec.tol_ineq if spec.tol_ineq is not None else base.ineq,
-        eq=spec.tol_eq if spec.tol_eq is not None else base.eq,
-        prop=spec.tol_prop if spec.tol_prop is not None else base.prop,
-    )
+    given = {f.name: getattr(spec, f"tol_{f.name}") for f in fields(Tolerances)}
+    return Tolerances(**{name: v for name, v in given.items() if v is not None})
 
 
 def _options_echo(spec: JobSpec) -> dict:
-    return {
-        "generator_specs": spec.generator_specs,
-        "alpha": spec.alpha,
-        "i_values": [float(v) for v in spec.i_values],
-        "k": spec.k,
-        "m": spec.m,
-        "n": spec.n,
-        "seed": spec.seed,
-        "instances": spec.instances,
-        "epsilon_floor": spec.epsilon_floor,
-        "bodies": spec.bodies,
-        "dimension": spec.dimension,
-        "resolution": spec.resolution,
-    }
+    echo = {f.name: getattr(spec, f.name) for f in fields(JobSpec) if f.metadata.get("echo", True)}
+    echo["i_values"] = [float(v) for v in spec.i_values]
+    return echo
 
 
 def run_job(spec: JobSpec) -> int:
     """Execute one job and write its report; returns the process exit code."""
-    tol = _tolerances(spec)
     report = {
         "command": spec.command,
         "inputs": {"document": None, "options": _options_echo(spec)},
-        "tolerances": {
-            "eps_ineq": tol.ineq,
-            "eps_eq": tol.eq,
-            "eps_prop": tol.prop,
-            "eps_norm": 1e-9,
-        },
+        "tolerances": None,
         "warnings": [],
         "values": {},
     }
     exit_code = 0
     try:
+        tol = _tolerances(spec)
+        report["tolerances"] = {**tolerances_to_dict(tol), "eps_norm": EPS_NORM}
         if spec.command == "audit":
             exit_code = _run_audit(spec, tol, report)
         elif spec.command == "geometry":
@@ -284,7 +256,7 @@ def run_job(spec: JobSpec) -> int:
             if spec.command == "compute":
                 _run_compute(spec, pairs, echo, report)
             elif spec.command == "mixed":
-                exit_code = _run_mixed(spec, pairs, echo, report)
+                exit_code = _run_mixed(spec, tol, pairs, echo, report)
             elif spec.command == "ith":
                 _run_ith(spec, pairs, echo, report)
             elif spec.command == "dissimilarity":
@@ -309,7 +281,7 @@ def _run_compute(spec: JobSpec, pairs, echo, report) -> None:
     }
 
 
-def _run_mixed(spec: JobSpec, pairs, echo, report) -> int:
+def _run_mixed(spec: JobSpec, tol: Tolerances, pairs, echo, report) -> int:
     gens = _pair_generators(spec, echo, len(pairs))
     triples = [PairTriple(g, p, q) for g, (p, q) in zip(gens, pairs)]
     value = mixed_divergence(triples)
@@ -330,7 +302,7 @@ def _run_mixed(spec: JobSpec, pairs, echo, report) -> int:
             "value": mixed_divergence_k(triples, spec.k),
         }
     if spec.m is not None:
-        check = check_alexandrov_fenchel(triples, spec.m, _tolerances(spec))
+        check = check_alexandrov_fenchel(triples, spec.m, tol)
         report["values"]["substitution_inequality"] = report_to_dict(check)
         if not check.holds:
             return 2
@@ -359,7 +331,7 @@ def _run_ith(spec: JobSpec, pairs, echo, report) -> None:
 def _run_dissimilarity(spec: JobSpec, space, pairs, echo, report) -> None:
     if not spec.generator_specs:
         raise MixdivError("dissimilarity needs one --f with a multivariate spec")
-    g = _multivariate_from_spec(spec.generator_specs[0])
+    g = multivariate_from_spec(spec.generator_specs[0])
     if "densities" in echo:
         dens = [
             validate_density(space, row, require_prob=False)
@@ -406,34 +378,25 @@ def _run_geometry(spec: JobSpec, report) -> None:
     dim = spec.dimension if spec.dimension is not None else bodies[0].dimension
     grid = sphere_grid(dim, spec.resolution)
     gen_specs = spec.generator_specs or [{"kind": "power", "alpha": 0.25}]
+    if spec.i_values and len(bodies) != 2:
+        raise MixdivError("the interpolated variant needs exactly two bodies")
+    if len(gen_specs) == 1:
+        gen_specs = gen_specs * len(bodies)
+    gens = [generator_from_spec(s) for s in (gen_specs[:2] if spec.i_values else gen_specs)]
+    values = {
+        "generators": [g.label for g in gens],
+        "dimension": dim,
+        "resolution": grid.n_nodes,
+    }
     if spec.i_values:
-        if len(bodies) != 2:
-            raise MixdivError("the interpolated variant needs exactly two bodies")
-        if len(gen_specs) == 1:
-            gen_specs = gen_specs * 2
-        gens = [generator_from_spec(s) for s in gen_specs[:2]]
-        values = [
+        values["i_grid"] = [float(v) for v in spec.i_values]
+        values["ith_mixed_affine_surface_area"] = [
             ith_mixed_affine_surface_area(bodies[0], bodies[1], gens, i, grid)
             for i in spec.i_values
         ]
-        report["values"] = {
-            "generators": [g.label for g in gens],
-            "dimension": dim,
-            "resolution": grid.n_nodes,
-            "i_grid": [float(v) for v in spec.i_values],
-            "ith_mixed_affine_surface_area": values,
-        }
     else:
-        if len(gen_specs) == 1:
-            gen_specs = gen_specs * len(bodies)
-        gens = [generator_from_spec(s) for s in gen_specs]
-        value = mixed_affine_surface_area(bodies, gens, grid)
-        report["values"] = {
-            "generators": [g.label for g in gens],
-            "dimension": dim,
-            "resolution": grid.n_nodes,
-            "mixed_affine_surface_area": value,
-        }
+        values["mixed_affine_surface_area"] = mixed_affine_surface_area(bodies, gens, grid)
+    report["values"] = values
 
 
 def _write_report(spec: JobSpec, report: dict) -> None:
@@ -461,11 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
         if needs_input:
-            p.add_argument("--input", required=True, help="JSON or CSV input document")
-        p.add_argument("--output", help="report path (stdout when omitted)")
+            p.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
+                           help="JSON or CSV input document")
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                       help="report path (stdout when omitted)")
         p.add_argument(
-            "--f", action="append", type=_json_flag, default=[], dest="fspecs",
-            help='generator spec, e.g. {"kind":"power","alpha":0.5}; repeatable',
+            "--f", action="append", type=_json_flag, default=[], dest="generator_specs",
+            metavar="FSPECS", help='generator spec, e.g. {"kind":"power","alpha":0.5}; repeatable',
         )
         p.add_argument("--epsilon-floor", type=float, default=None,
                        help="replace zero densities by this value, then renormalize")
@@ -503,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="ball/ellipsoid affine surface areas")
     common(p, needs_input=False)
-    p.add_argument("--input", required=False, help="optional document with 'bodies'")
+    p.add_argument("--input", required=False, dest="input_path", metavar="INPUT",
+                   help="optional document with 'bodies'")
     p.add_argument("--body", action="append", type=_json_flag, default=[], dest="bodies",
                    help='body spec, e.g. {"semi_axes":[1,2,3]}; repeatable')
     p.add_argument("--i", action="append", type=float, default=[], dest="i_values")
@@ -513,26 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def job_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        generator_specs=getattr(args, "fspecs", []),
-        alpha=getattr(args, "alpha", None),
-        i_values=getattr(args, "i_values", []),
-        k=getattr(args, "k", None),
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", 0),
-        instances=getattr(args, "instances", 1000),
-        tol_ineq=getattr(args, "tol_ineq", None),
-        tol_eq=getattr(args, "tol_eq", None),
-        tol_prop=getattr(args, "tol_prop", None),
-        epsilon_floor=getattr(args, "epsilon_floor", None),
-        bodies=getattr(args, "bodies", []),
-        dimension=getattr(args, "dimension", None),
-        resolution=getattr(args, "resolution", None),
-    )
+    """The job of a parsed command line; flags a subcommand lacks keep their defaults."""
+    given = vars(args)
+    return JobSpec(**{f.name: given[f.name] for f in fields(JobSpec) if f.name in given})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

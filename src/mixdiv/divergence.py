@@ -120,14 +120,6 @@ def weighted_product_integral(
     return math.fsum((terms * space.weights).tolist())
 
 
-def _shared_space(triples: Sequence[PairTriple]) -> MeasureSpace:
-    space = triples[0].space
-    for t in triples[1:]:
-        if t.space != space:
-            raise SpaceMismatch("triples live on different measure spaces")
-    return space
-
-
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
     """Classical divergence: integral of f(p/q) * q."""
     space = same_space(p, q)
@@ -141,12 +133,7 @@ def mixed_divergence(triples: Sequence[PairTriple]) -> float:
     With all triples equal this reduces to the classical divergence; with
     P_i = Q_i = P for a probability P it equals prod_i f_i(1)**(1/n).
     """
-    n = len(triples)
-    if n == 0:
-        raise MixedArityZero("need at least one (generator, P, Q) triple")
-    space = _shared_space(triples)
-    factors = [integrand_factor(t) for t in triples]
-    return weighted_product_integral(space, factors, [1.0 / n] * n)
+    return mixed_divergence_k(triples, len(triples))
 
 
 def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
@@ -160,7 +147,7 @@ def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
         raise MixedArityZero("need at least one (generator, P, Q) triple")
     if not (0 <= k <= n):
         raise IndexOutOfRange(f"k={k} outside [0, {n}]")
-    space = _shared_space(triples)
+    space = same_space(*(t.p for t in triples))
     factors = [
         integrand_factor(t) if idx < k else adjoint_factor(t)
         for idx, t in enumerate(triples)
@@ -208,10 +195,8 @@ def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float
     """
     if len(densities) != g.arity:
         raise ArityMismatch(f"generator arity {g.arity} vs {len(densities)} densities")
-    space = densities.space
-    cols = np.stack([d.values for d in densities.densities], axis=1)
-    vals = np.array([g(*row) for row in cols])
-    return math.fsum((vals * space.weights).tolist())
+    vals = g.eval_block(np.stack([d.values for d in densities.densities]))
+    return math.fsum((vals * densities.space.weights).tolist())
 
 
 # --- named wrappers -------------------------------------------------------------

@@ -1,25 +1,33 @@
 """Generator functions f: (0, inf) -> [0, inf) and the adjoint t*f(1/t).
 
-The catalog covers the named divergence families:
+Each kind is one row of the registry ``_KINDS``, which declares its array
+evaluator, its adjoint kind and parameter map, its shape rule, its
+parameter names and its spec aliases:
 
-* ``total_variation``   f(t) = |t - 1|              (convex, self-adjoint)
-* ``kl_positive_part``  f(t) = max(t*ln(t), 0)      (convex; adjoint is max(-ln t, 0))
-* ``power``             f(t) = t**alpha             (shape depends on alpha)
-* ``linear``            f(t) = a*t + b, a,b >= 0    (adjoint swaps a and b)
+* ``total_variation`` (``tv``)   |t - 1|            convex, self-adjoint
+* ``kl_positive_part`` (``kl+``) max(t*ln(t), 0)    convex, adjoint ``kl_adjoint`` = max(-ln(t), 0)
+* ``power`` (``sqrt``: alpha=1/2) t**alpha          shape from alpha, adjoint alpha -> 1-alpha
+* ``linear``                     a*t + b, a,b >= 0  adjoint swaps a and b
+* ``custom``                     a user callable evaluated per element, whose
+  declared shape is verified by random midpoint sampling; its adjoint is a closure
 
-plus user-supplied ``custom`` generators, whose declared shape is verified by
-random midpoint sampling at construction.
+Any generator may carry a scale factor lambda > 0 (:func:`scale_generator`):
+it evaluates lambda*f, keeps its kind, and its adjoint keeps lambda. Scalar
+calls go through the array evaluator, so ``g(t) == g.eval_array([t])[0]``.
 
 Shape metadata drives the inequality audits: ``shape`` is one of ``convex``,
 ``concave``, ``linear`` (affine functions count as both convex and concave),
 ``strict`` claims strict convexity/concavity on all of (0, inf), and
-``positive`` claims f(t) > 0 for every t > 0.
+``positive`` claims f(t) > 0 for every t > 0. Multivariate generators
+evaluate a block of l density columns at once; their spec kinds are the
+table ``_MULTIVARIATE_SPECS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +54,8 @@ class Generator:
     """An immutable scalar generator with shape metadata.
 
     Instances are callable: ``g(t)`` evaluates f(t) for scalar t > 0, and
-    ``g.eval_array(arr)`` evaluates over a positive numpy array.
+    ``g.eval_array(arr)`` evaluates over a positive numpy array. ``scale``
+    is the factor lambda of lambda*f.
     """
 
     kind: str
@@ -57,6 +66,7 @@ class Generator:
     adjoint_depth: int = 0
     fn: Optional[Callable[[float], float]] = None
     base: Optional["Generator"] = None
+    scale: float = 1.0
 
     @property
     def is_convex(self) -> bool:
@@ -78,42 +88,112 @@ class Generator:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t) & (t > 0.0)):
             raise NonpositiveArgument("generator arguments must be finite and > 0")
-        return _eval_array_unchecked(self, t)
+        return self._evaluate(t)
+
+    def _evaluate(self, t: np.ndarray) -> np.ndarray:
+        out = _KINDS[self.kind].evaluate(self, t)
+        return out if self.scale == 1.0 else self.scale * out
 
     @property
     def label(self) -> str:
-        if self.kind == "power":
-            return f"power({self.params[0]:g})"
-        if self.kind == "linear":
-            return f"linear({self.params[0]:g},{self.params[1]:g})"
-        return self.kind
+        text = self.kind
+        if self.params:
+            text += "(" + ",".join(f"{v:g}" for v in self.params) + ")"
+        return text if self.scale == 1.0 else f"{self.scale:g}*{text}"
 
     def __repr__(self) -> str:
         return f"Generator({self.label}, {self.shape}, strict={self.strict})"
 
 
-def _power_shape(alpha: float) -> tuple[str, bool]:
+def _eval_custom(g: Generator, t: np.ndarray) -> np.ndarray:
+    out = np.array([float(g.fn(x)) for x in t.tolist()])
+    if np.any(out < 0.0):
+        raise NegativeValue("custom generator returned a negative value")
+    return out
+
+
+def _power_shape(alpha: float) -> tuple[str, bool, bool]:
     if alpha in (0.0, 1.0):
-        return LINEAR, False
+        return LINEAR, False, True
     if 0.0 < alpha < 1.0:
-        return CONCAVE, True
-    return CONVEX, True
+        return CONCAVE, True, True
+    return CONVEX, True, True
+
+
+def _linear_shape(a: float, b: float) -> tuple[str, bool, bool]:
+    if a < 0.0 or b < 0.0 or (a == 0.0 and b == 0.0):
+        raise InvalidLinear(f"need a >= 0, b >= 0, not both zero; got a={a}, b={b}")
+    return LINEAR, False, True
+
+
+def _convex_nonstrict() -> tuple[str, bool, bool]:
+    return CONVEX, False, False
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One registry row. ``shape`` maps the parameters to (shape, strict,
+    positive); it is None for ``custom``, whose shape the caller declares."""
+
+    evaluate: Callable[[Generator, np.ndarray], np.ndarray]
+    adjoint: str
+    shape: Optional[Callable[..., tuple[str, bool, bool]]]
+    params: tuple[str, ...] = ()
+    adjoint_params: Callable[[tuple], tuple] = lambda p: p
+    aliases: dict = field(default_factory=dict)
+
+
+_KINDS = {
+    "total_variation": _Kind(
+        lambda g, t: np.abs(t - 1.0), "total_variation", _convex_nonstrict, aliases={"tv": {}}
+    ),
+    "kl_positive_part": _Kind(
+        lambda g, t: np.maximum(t * np.log(t), 0.0), "kl_adjoint", _convex_nonstrict,
+        aliases={"kl+": {}},
+    ),
+    "kl_adjoint": _Kind(
+        lambda g, t: np.maximum(-np.log(t), 0.0), "kl_positive_part", _convex_nonstrict
+    ),
+    "power": _Kind(
+        lambda g, t: t ** g.params[0], "power", _power_shape, ("alpha",),
+        lambda p: (1.0 - p[0],), aliases={"sqrt": {"alpha": 0.5}},
+    ),
+    "linear": _Kind(
+        lambda g, t: g.params[0] * t + g.params[1], "linear", _linear_shape, ("a", "b"),
+        lambda p: (p[1], p[0]),
+    ),
+    "custom": _Kind(_eval_custom, "custom", None),
+}
+
+#: spec name -> (registry kind, preset parameters)
+_SPEC_NAMES = {name: (name, {}) for name in _KINDS} | {
+    alias: (name, preset) for name, row in _KINDS.items() for alias, preset in row.aliases.items()
+}
+
+
+def _real(what: str, name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise MixdivError(f"{what} parameter {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_names(what: str, given, allowed) -> None:
+    if set(given) != set(allowed):
+        unknown = sorted(set(given) - set(allowed))
+        missing = [n for n in allowed if n not in given]
+        raise MixdivError(f"{what} takes {list(allowed)}; unknown {unknown}, missing {missing}")
 
 
 def make_generator(kind: str, **params) -> Generator:
-    """Build a catalog generator.
-
-    Accepted kinds (with short aliases used by the JSON config format):
-
-    * ``"total_variation"`` / ``"tv"``
-    * ``"kl_positive_part"`` / ``"kl+"``
-    * ``"power"`` with ``alpha=<real>``
-    * ``"sqrt"`` (same as power with alpha=1/2)
-    * ``"linear"`` with ``a=<real>, b=<real>``
-    * ``"custom"`` with ``fn=<callable>, shape=..., strict=..., positive=...``
+    """Build a generator of a registry kind or spec alias, e.g.
+    ``make_generator("power", alpha=0.5)``; ``custom`` takes ``fn=<callable>,
+    shape=..., strict=..., positive=...``.
 
     Raises
     ------
+    MixdivError
+        For an unknown kind, or a missing, unknown, non-numeric or
+        non-finite parameter of a catalog kind.
     InvalidLinear
         For linear coefficients with a < 0, b < 0, or a = b = 0.
     ShapeMismatch
@@ -121,27 +201,17 @@ def make_generator(kind: str, **params) -> Generator:
     NegativeValue
         When a custom generator produces a negative sample value.
     """
-    kind = kind.lower()
-    if kind in ("total_variation", "tv"):
-        return Generator("total_variation", CONVEX, strict=False, positive=False)
-    if kind in ("kl_positive_part", "kl+"):
-        return Generator("kl_positive_part", CONVEX, strict=False, positive=False)
-    if kind == "sqrt":
-        kind, params = "power", {"alpha": 0.5}
-    if kind == "power":
-        alpha = float(params["alpha"])
-        if not math.isfinite(alpha):
-            raise MixdivError("power exponent must be finite")
-        shape, strict = _power_shape(alpha)
-        return Generator("power", shape, strict=strict, positive=True, params=(alpha,))
-    if kind == "linear":
-        a, b = float(params["a"]), float(params["b"])
-        if a < 0.0 or b < 0.0 or (a == 0.0 and b == 0.0):
-            raise InvalidLinear(f"need a >= 0, b >= 0, not both zero; got a={a}, b={b}")
-        return Generator("linear", LINEAR, strict=False, positive=True, params=(a, b))
-    if kind == "custom":
+    if not isinstance(kind, str) or kind.lower() not in _SPEC_NAMES:
+        raise MixdivError(f"unknown generator kind {kind!r}")
+    name, preset = _SPEC_NAMES[kind.lower()]
+    row = _KINDS[name]
+    if row.shape is None:
         return _make_custom(**params)
-    raise MixdivError(f"unknown generator kind {kind!r}")
+    _check_names(kind, params, [n for n in row.params if n not in preset])
+    values = {**preset, **params}
+    args = tuple(_real(kind, n, values[n]) for n in row.params)
+    shape, strict, positive = row.shape(*args)
+    return Generator(name, shape, strict=strict, positive=positive, params=args)
 
 
 def _make_custom(
@@ -185,134 +255,67 @@ def _verify_custom(fn: Callable[[float], float], shape: str, positive: bool) -> 
             raise ShapeMismatch(f"declared {shape} but midpoint is below chord at ({s!r}, {t!r})")
 
 
+def _star(fn: Callable[[float], float]) -> Callable[[float], float]:
+    return lambda t: t * fn(1.0 / t)
+
+
 def adjoint(g: Generator) -> Generator:
     """Return the adjoint generator t -> t * f(1/t).
 
-    Shape, strictness, and positivity are preserved. Known kinds map in
-    closed form (power alpha -> power 1-alpha, linear(a,b) -> linear(b,a),
-    total variation to itself, the positive-part entropy kinds to each
-    other). Applying ``adjoint`` twice returns the original object, so the
+    Shape, strictness, positivity and the scale factor are preserved. The
+    registry row gives the adjoint kind and parameters (power alpha ->
+    power 1-alpha, linear(a,b) -> linear(b,a), total variation to itself,
+    the positive-part entropy kinds to each other, custom to a closure).
+    Applying ``adjoint`` twice returns the original object, so the
     involution holds exactly.
     """
     if g.base is not None:
         return g.base
-    depth = g.adjoint_depth + 1
-    if g.kind == "power":
-        alpha = g.params[0]
-        shape, strict = _power_shape(1.0 - alpha)
-        return Generator(
-            "power", shape, strict=strict, positive=True,
-            params=(1.0 - alpha,), adjoint_depth=depth, base=g,
-        )
-    if g.kind == "linear":
-        a, b = g.params
-        return Generator(
-            "linear", LINEAR, strict=False, positive=True,
-            params=(b, a), adjoint_depth=depth, base=g,
-        )
-    if g.kind == "total_variation":
-        return Generator(
-            "total_variation", CONVEX, strict=False, positive=False,
-            adjoint_depth=depth, base=g,
-        )
-    if g.kind == "kl_positive_part":
-        return Generator(
-            "kl_adjoint", CONVEX, strict=False, positive=False,
-            adjoint_depth=depth, base=g,
-        )
-    if g.kind == "kl_adjoint":
-        return Generator(
-            "kl_positive_part", CONVEX, strict=False, positive=False,
-            adjoint_depth=depth, base=g,
-        )
-    # custom: pointwise closure
-    inner = g.fn
-
-    def star(t: float, _inner=inner) -> float:
-        return t * _inner(1.0 / t)
-
-    return Generator(
-        "custom", g.shape, strict=g.strict, positive=g.positive,
-        fn=star, adjoint_depth=depth, base=g,
+    row = _KINDS[g.kind]
+    return replace(
+        g,
+        kind=row.adjoint,
+        params=row.adjoint_params(g.params),
+        fn=None if g.fn is None else _star(g.fn),
+        adjoint_depth=g.adjoint_depth + 1,
+        base=g,
     )
 
 
 def eval_generator(g: Generator, t: float) -> float:
-    """Evaluate f(t) for scalar t > 0.
-
-    Raises
-    ------
-    NonpositiveArgument
-        For t <= 0 or non-finite t.
-    NegativeValue
-        When a custom generator returns a negative value.
-    """
+    """Evaluate f(t) for scalar t > 0 on the array path, so the value equals
+    ``g.eval_array([t])[0]``; raises NonpositiveArgument or NegativeValue."""
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise NonpositiveArgument(f"generator argument {t!r} not in (0, inf)")
-    kind = g.kind
-    if kind == "total_variation":
-        return abs(t - 1.0)
-    if kind == "kl_positive_part":
-        v = t * math.log(t)
-        return v if v > 0.0 else 0.0
-    if kind == "kl_adjoint":
-        v = -math.log(t)
-        return v if v > 0.0 else 0.0
-    if kind == "power":
-        return t ** g.params[0]
-    if kind == "linear":
-        a, b = g.params
-        return a * t + b
-    v = float(g.fn(t))
-    if v < 0.0:
-        raise NegativeValue(f"custom generator returned {v!r} < 0 at t={t!r}")
-    return v
-
-
-def _eval_array_unchecked(g: Generator, t: np.ndarray) -> np.ndarray:
-    kind = g.kind
-    if kind == "total_variation":
-        return np.abs(t - 1.0)
-    if kind == "kl_positive_part":
-        return np.maximum(t * np.log(t), 0.0)
-    if kind == "kl_adjoint":
-        return np.maximum(-np.log(t), 0.0)
-    if kind == "power":
-        return t ** g.params[0]
-    if kind == "linear":
-        a, b = g.params
-        return a * t + b
-    out = np.array([float(g.fn(x)) for x in t])
-    if np.any(out < 0.0):
-        raise NegativeValue("custom generator returned a negative value")
-    return out
+    return float(g._evaluate(np.array([t]))[0])
 
 
 def scale_generator(g: Generator, lam: float) -> Generator:
-    """The generator lam * f for lam > 0; shape metadata is unchanged."""
+    """The generator lam * f for lam > 0, of the same kind; shape metadata is unchanged."""
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise MixdivError(f"scale factor must be finite and > 0, got {lam!r}")
+    return replace(g, scale=g.scale * lam, base=None)
 
-    def fn(t: float, _g=g, _l=lam) -> float:
-        return _l * eval_generator(_g, t)
 
-    return Generator(
-        "custom", g.shape, strict=g.strict, positive=g.positive, fn=fn
-    )
+def _split_spec(spec, what: str) -> tuple[str, dict]:
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise MixdivError(f"{what} spec must be an object with a string 'kind': {spec!r}")
+    return spec["kind"].lower(), {k: v for k, v in spec.items() if k != "kind"}
 
 
 def generator_from_spec(spec: dict) -> Generator:
     """Build a generator from its JSON configuration form.
 
     Examples: ``{"kind": "power", "alpha": 0.5}``, ``{"kind": "tv"}``,
-    ``{"kind": "kl+"}``, ``{"kind": "linear", "a": 1, "b": 0}``.
+    ``{"kind": "kl+"}``, ``{"kind": "linear", "a": 1, "b": 0}``. A
+    ``custom`` generator needs a Python callable and has no spec form.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise MixdivError(f"generator spec must be an object with a 'kind': {spec!r}")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    return make_generator(spec["kind"], **params)
+    kind, params = _split_spec(spec, "generator")
+    if kind == "custom":
+        raise MixdivError("custom generators take a Python callable and have no spec form")
+    return make_generator(kind, **params)
 
 
 # --- multivariate generators ---------------------------------------------------
@@ -321,53 +324,64 @@ def generator_from_spec(spec: dict) -> Generator:
 class MultivariateGenerator:
     """A function of l positive arguments, integrated pointwise over atoms.
 
-    Unlike scalar generators the codomain may be negative (the affinity
-    families are negated products).
+    ``block`` maps an (l x atoms) array of density columns to the atoms'
+    values. Unlike scalar generators the codomain may be negative (the
+    affinity families are negated products).
     """
 
     arity: int
-    fn: Callable[..., float]
+    block: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
 
-    def __call__(self, *args: float) -> float:
-        v = float(self.fn(*args))
-        if not math.isfinite(v):
-            raise MixdivError(f"multivariate generator not finite at {args!r}")
-        return v
+    def eval_block(self, cols: np.ndarray) -> np.ndarray:
+        vals = self.block(cols)
+        if not np.all(np.isfinite(vals)):
+            raise MixdivError(f"multivariate generator {self.label} produced a non-finite value")
+        return vals
+
+
+def _arity(value) -> int:
+    arity = _real("multivariate", "arity", value)
+    if arity < 1 or arity != int(arity):
+        raise MixdivError(f"arity must be an integer >= 1, got {value!r}")
+    return int(arity)
 
 
 def multivariate(arity: int, fn: Callable[..., float], label: str = "custom") -> MultivariateGenerator:
-    if arity < 1:
-        raise MixdivError("arity must be >= 1")
-    return MultivariateGenerator(arity=int(arity), fn=fn, label=label)
+    """Wrap a callable of ``arity`` floats; it is called once per atom."""
+
+    def block(cols: np.ndarray) -> np.ndarray:
+        return np.array([float(fn(*col)) for col in cols.T.tolist()])
+
+    return MultivariateGenerator(_arity(arity), block, label)
+
+
+def _negated_product(exponents: list[float], label: str) -> MultivariateGenerator:
+    """-prod_i x_i**e_i, multiplied left to right over the columns."""
+
+    def block(cols: np.ndarray) -> np.ndarray:
+        out = np.ones(cols.shape[1])
+        for col, e in zip(cols, exponents):
+            out *= col**e
+        return -out
+
+    return MultivariateGenerator(len(exponents), block, label)
 
 
 def matusita_affinity(arity: int) -> MultivariateGenerator:
     """-prod_i x_i**(1/l): the negated Matusita affinity integrand."""
-    l = int(arity)
-
-    def fn(*xs: float) -> float:
-        out = 1.0
-        for x in xs:
-            out *= x ** (1.0 / l)
-        return -out
-
-    return multivariate(l, fn, label="matusita")
+    l = _arity(arity)
+    return _negated_product([1.0 / l] * l, "matusita")
 
 
 def toussaint_affinity(exponents) -> MultivariateGenerator:
     """-prod_i x_i**a_i with a_i >= 0 summing to 1."""
-    a = [float(x) for x in exponents]
+    if not isinstance(exponents, (list, tuple, np.ndarray)):
+        raise MixdivError(f"toussaint weights must be a list, got {exponents!r}")
+    a = [_real("toussaint", "weights", x) for x in exponents]
     if any(x < 0.0 for x in a) or abs(math.fsum(a) - 1.0) > 1e-12:
         raise MixdivError("exponents must be >= 0 and sum to 1")
-
-    def fn(*xs: float) -> float:
-        out = 1.0
-        for x, e in zip(xs, a):
-            out *= x ** e
-        return -out
-
-    return multivariate(len(a), fn, label="toussaint")
+    return _negated_product(a, "toussaint")
 
 
 def paired(g: Generator) -> MultivariateGenerator:
@@ -376,7 +390,27 @@ def paired(g: Generator) -> MultivariateGenerator:
     Its dissimilarity equals the classical divergence of g.
     """
 
-    def fn(x: float, y: float) -> float:
-        return y * eval_generator(g, x / y)
+    def block(cols: np.ndarray) -> np.ndarray:
+        return cols[1] * g.eval_array(cols[0] / cols[1])
 
-    return multivariate(2, fn, label=f"paired({g.label})")
+    return MultivariateGenerator(2, block, f"paired({g.label})")
+
+
+#: multivariate spec kind -> (its one parameter, constructor taking that value)
+_MULTIVARIATE_SPECS = {
+    "matusita": ("arity", matusita_affinity),
+    "toussaint": ("weights", toussaint_affinity),
+    "paired": ("f", lambda f: paired(generator_from_spec(f))),
+}
+
+
+def multivariate_from_spec(spec: dict) -> MultivariateGenerator:
+    """Build a multivariate generator from its JSON form, e.g.
+    ``{"kind": "matusita", "arity": 3}``, ``{"kind": "toussaint",
+    "weights": [0.2, 0.8]}`` or ``{"kind": "paired", "f": {"kind": "tv"}}``."""
+    kind, params = _split_spec(spec, "multivariate")
+    if kind not in _MULTIVARIATE_SPECS:
+        raise MixdivError(f"unknown multivariate kind {kind!r}")
+    name, build = _MULTIVARIATE_SPECS[kind]
+    _check_names(kind, params, [name])
+    return build(params[name])

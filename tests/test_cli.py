@@ -246,6 +246,24 @@ def test_invalid_density_exits_one_with_report(tmp_path):
     assert report["error"]["type"] == "NonpositiveDensity"
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", '{"kind":"power"}'],
+    ["compute", "--f", '{"kind":"linear","a":"x","b":1}'],
+    ["compute", "--f", '{"kind":"custom"}'],
+    ["compute", "--f", '{"kind":"power","alpha":0.5,"beta":1}'],
+    ["dissimilarity", "--f", '{"kind":"matusita"}'],
+    ["audit", "--instances", "3", "--tol-ineq", "nan"],
+    ["audit", "--instances", "3", "--tol-ineq", "-1"],
+])
+def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
+    out = tmp_path / "r.json"
+    if argv[0] != "audit":
+        argv = argv + ["--input", fixture_path]
+    assert main(argv + ["--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] and error["message"]
+
+
 def test_main_entry_point(fixture_path, tmp_path):
     out = tmp_path / "main.json"
     code = main(["mixed", "--input", fixture_path, "--output", str(out)])

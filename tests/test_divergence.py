@@ -42,6 +42,7 @@ from mixdiv.errors import (
 )
 
 import oracles
+from conftest import catalog_generators
 
 # Frozen values regenerated with the direct-summation oracle (tests/oracles.py).
 TV_VALUE = 0.5
@@ -411,6 +412,8 @@ def test_paired_dissimilarity_equals_f_divergence(two_atom):
     tv = make_generator("tv")
     vec = make_vector([p1, q1])
     _rel_eq(f_dissimilarity(paired(tv), vec), TV_VALUE)
+    for g in catalog_generators():
+        assert f_dissimilarity(paired(g), vec) == f_divergence(g, p1, q1), g.label
 
 
 def test_dissimilarity_arity_mismatch(two_atom):

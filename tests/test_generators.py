@@ -188,6 +188,21 @@ def test_scale_generator():
     h = scale_generator(g, 3.0)
     assert h(2.0) == 12.0
     assert h.shape == g.shape and h.strict == g.strict and h.positive
+    grid = np.array(LOG_GRID)
+    for g in catalog_generators():
+        h = scale_generator(g, 1.7)
+        assert h.kind == g.kind, g.label
+        # the adjoint keeps the scale factor, and the involution stays exact
+        assert adjoint(h).eval_array(grid).tolist() == (1.7 * adjoint(g).eval_array(grid)).tolist()
+        assert adjoint(adjoint(h)) is h
+
+
+def test_scalar_and_array_evaluation_agree_bitwise():
+    grid = np.exp(np.linspace(-6.0, 6.0, 50))
+    custom = make_generator("custom", fn=lambda t: (t - 1.0) ** 2 + t**-0.5, shape="convex")
+    for g in catalog_generators() + [custom]:
+        for h in (g, adjoint(g), scale_generator(g, 1.7), adjoint(scale_generator(g, 1.7))):
+            assert [h(t) for t in grid] == h.eval_array(grid).tolist(), h.label
 
 
 def test_generator_from_spec():
