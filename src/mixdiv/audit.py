@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -169,6 +170,11 @@ def _linear_mix(t: PairTriple) -> np.ndarray:
 def _rel_close(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-300)
     return float(np.max(np.abs(u - v))) <= tol * scale
+
+
+def _agree(vectors: Sequence[np.ndarray], tol: float) -> bool:
+    """Every vector is relatively close to the first."""
+    return all(_rel_close(vectors[0], v, tol) for v in vectors[1:])
 
 
 # --- effective proportionality ---------------------------------------------------
@@ -330,20 +336,13 @@ def check_concave_upper(
     link1 = middle - lhs >= -tolerances.ineq * max(1.0, abs(middle))
     link2 = rhs - middle >= -tolerances.ineq * max(1.0, abs(rhs))
 
-    basis = "none"
-    expected = False
+    basis, expected = "none", False
     if all(t.generator.strict and t.generator.shape == CONCAVE for t in triples):
         basis = "strict-concave"
-        first = triples[0].p.values
-        expected = all(
-            _rel_close(d.values, first, tolerances.prop)
-            for t in triples
-            for d in (t.p, t.q)
-        )
+        expected = _agree([d.values for t in triples for d in (t.p, t.q)], tolerances.prop)
     elif all(t.generator.kind == "linear" for t in triples):
         basis = "linear-remark"
-        combos = [_linear_mix(t) for t in triples]
-        expected = all(_rel_close(combos[0], c, tolerances.prop) for c in combos[1:])
+        expected = _agree([_linear_mix(t) for t in triples], tolerances.prop)
 
     detail = {
         "n": int(n),
@@ -410,7 +409,7 @@ def check_interpolation(
     if not (min(j, k) <= i <= max(j, k)):
         raise IndexOutOfRange(f"i={i} not between j={j} and k={k}")
     for role, g in (("f1", pair1.generator), ("f2", pair2.generator)):
-        _require_shape(g, "any", role)
+        _require_shape(g, "positive", role)
 
     def at(index: float) -> float:
         return ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
@@ -441,14 +440,33 @@ def check_interpolation(
 
 # --- endpoint corollaries ---------------------------------------------------------
 
-# (f1 requirement, f2 requirement, index predicate, direction of [D]^n vs bound)
+class _Case(NamedTuple):
+    """Every fact about one corollary case (see :func:`check_corollary`)."""
+
+    reference: bool  # base-measure variant: f2 alone, mass-1 space
+    pool1: str  # f1 is drawn from this pool and must have its shape
+    pool2: str  # the same for f2
+    index_rule: str  # a key of _INDEX_RULES
+    upper: bool  # [D]^n is bounded from above, else from below
+    linear_remark: bool  # linear generators predict equality
+    equality_family: str = ""  # the suite's equality construction, if any
+
+
 _CASE_TABLE = {
-    "concave_0_i_n": ("concave", "concave", "unit", "le"),
-    "ref_concave": ("concave", "any", "unit", "le"),
-    "convex_concave_k_ge_n": ("convex", "concave", "ge_n", "ge"),
-    "ref_convex": ("convex", "any", "ge_n", "ge"),
-    "concave_convex_k_le_0": ("concave", "convex", "le_0", "ge"),
-    "ref_concave_k_le_0": ("concave", "any", "le_0", "ge"),
+    "concave_0_i_n": _Case(
+        False, "positive_concave", "positive_concave", "unit", True, True, "corollary_diagonal"
+    ),
+    "ref_concave": _Case(
+        True, "positive_concave", "positive", "unit", True, True, "corollary_reference"
+    ),
+    "convex_concave_k_ge_n": _Case(
+        False, "positive_convex", "positive_concave", "ge_n", False, True
+    ),
+    "ref_convex": _Case(True, "positive_convex", "positive", "ge_n", False, True),
+    "concave_convex_k_le_0": _Case(
+        False, "positive_concave", "positive_convex", "le_0", False, False
+    ),
+    "ref_concave_k_le_0": _Case(True, "positive_concave", "positive", "le_0", False, True),
 }
 COROLLARY_CASES = tuple(_CASE_TABLE)
 
@@ -460,12 +478,13 @@ _INDEX_RULES = {
 }
 
 
-def _require_shape(g: Generator, requirement: str, role: str) -> None:
+def _require_shape(g: Generator, pool: str, role: str) -> None:
+    """Raise unless ``g`` has the shape that every member of ``pool`` has."""
     if not g.positive:
         raise ShapeMismatch(f"{role} {g.label} is not strictly positive on (0, inf)")
-    if requirement == "concave" and not g.is_concave:
+    if pool == "positive_concave" and not g.is_concave:
         raise ShapeMismatch(f"{role} {g.label} must be concave")
-    if requirement == "convex" and not g.is_convex:
+    if pool == "positive_convex" and not g.is_convex:
         raise ShapeMismatch(f"{role} {g.label} must be convex")
 
 
@@ -494,39 +513,41 @@ def check_corollary(
     """
     if case not in _CASE_TABLE:
         raise MixdivError(f"unknown corollary case {case!r}")
-    req1, req2, index_rule, direction = _CASE_TABLE[case]
-    reference = case.startswith("ref_")
+    row = _CASE_TABLE[case]
     f1 = pair1.generator
-    _require_shape(f1, req1, "f1")
-    if reference:
-        if f2 is None:
-            raise MixdivError(f"case {case!r} needs the f2 generator")
-        other = f2
-    else:
-        if pair2 is None:
-            raise MixdivError(f"case {case!r} needs a second triple")
-        other = pair2.generator
-    _require_shape(other, req2, "f2")
-    (low, high), _ = _INDEX_RULES[index_rule](n)
+    _require_shape(f1, row.pool1, "f1")
+    (low, high), _ = _INDEX_RULES[row.index_rule](n)
     if not low <= index <= high:
         raise IndexOutOfRange(f"index={index} outside [{low}, {high}] for case {case!r}")
 
-    if reference:
+    if row.reference:
+        if f2 is None:
+            raise MixdivError(f"case {case!r} needs the f2 generator")
+        _require_shape(f2, row.pool2, "f2")
         _require_prob([pair1], "the corollary audit")
-        value = ith_mixed_reference(pair1, index, n, other)
+        value = ith_mixed_reference(pair1, index, n, f2)
+        # the base measure stands in for the second pair as the density 1
+        pairs, base = [pair1], [np.ones(pair1.space.n_atoms)]
     else:
-        _require_prob([pair1, pair2], "the corollary audit")
+        if pair2 is None:
+            raise MixdivError(f"case {case!r} needs a second triple")
+        f2 = pair2.generator
+        _require_shape(f2, row.pool2, "f2")
+        pairs, base = [pair1, pair2], []
+        _require_prob(pairs, "the corollary audit")
         value = ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
     powered = value**n
-    bound = other(1.0) ** (n - index) * f1(1.0) ** index
-    if direction == "le":
-        lhs, rhs = powered, bound
-    else:
-        lhs, rhs = bound, powered
+    bound = f2(1.0) ** (n - index) * f1(1.0) ** index
+    lhs, rhs = (powered, bound) if row.upper else (bound, powered)
 
-    expected, basis = _corollary_equality(
-        case, pair1, pair2, f1, other, tolerances
-    )
+    gens = [t.generator for t in pairs]
+    basis, expected = "none", False
+    if row.linear_remark and all(g.kind == "linear" for g in gens):
+        basis = "linear-remark"
+        expected = _agree([_linear_mix(t) for t in pairs] + base, tolerances.prop)
+    elif all(g.strict for g in gens):
+        basis = "strict"
+        expected = _agree(base + [d.values for t in pairs for d in (t.p, t.q)], tolerances.prop)
     detail = {
         "case": case,
         "n": int(n),
@@ -536,33 +557,6 @@ def check_corollary(
         "equality_basis": basis,
     }
     return _report(f"corollary_{case}", lhs, rhs, tolerances, expected, detail)
-
-
-def _corollary_equality(
-    case: str,
-    pair1: PairTriple,
-    pair2: Optional[PairTriple],
-    f1: Generator,
-    f2: Generator,
-    tol: Tolerances,
-) -> tuple[bool, str]:
-    if case.startswith("ref_"):
-        ones = np.ones(pair1.space.n_atoms)
-        if f1.kind == "linear":
-            return _rel_close(_linear_mix(pair1), ones, tol.prop), "linear-remark"
-        if f1.strict:
-            ok = _rel_close(pair1.p.values, ones, tol.prop) and _rel_close(
-                pair1.q.values, ones, tol.prop
-            )
-            return ok, "strict"
-        return False, "none"
-    if f1.kind == "linear" and f2.kind == "linear" and case != "concave_convex_k_le_0":
-        return _rel_close(_linear_mix(pair1), _linear_mix(pair2), tol.prop), "linear-remark"
-    if f1.strict and f2.strict:
-        vecs = (pair1.p.values, pair1.q.values, pair2.p.values, pair2.q.values)
-        ok = all(_rel_close(vecs[0], v, tol.prop) for v in vecs[1:])
-        return ok, "strict"
-    return False, "none"
 
 
 # --- randomized suite --------------------------------------------------------------
@@ -655,54 +649,23 @@ def _rand_triple(rng, space: MeasureSpace, pool: str) -> PairTriple:
     )
 
 
-def _rand_triples(rng, config: AuditConfig, pool: str, space=None, n=None):
-    if space is None:
-        space = _rand_space(rng, config)
-    if n is None:
-        n = int(rng.integers(1, config.max_pairs + 1))
+def _rand_triples(rng, config: AuditConfig, pool: str) -> list[PairTriple]:
+    space = _rand_space(rng, config)
+    n = int(rng.integers(1, config.max_pairs + 1))
     return [_rand_triple(rng, space, pool) for _ in range(n)]
 
 
 def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
-    tol = config.tolerances
     triples = _rand_triples(rng, config, "any")
     n = len(triples)
     space = triples[0].space
-    base = mixed_divergence(triples)
-    meta = {"instance": idx, "n": n, "atoms": space.n_atoms}
-    out = []
-
-    perm = [int(x) for x in rng.permutation(n)]
-    permuted = mixed_divergence([triples[j] for j in perm])
-    out.append(_identity_report("permutation_invariance", permuted, base, tol, meta))
-
     row = [mixed_divergence_k(triples, k) for k in range(n + 1)]
-    worst = max(row, key=lambda v: _rel_diff(v, base))
-    out.append(
-        _identity_report("order_change", worst, base, tol, {**meta, "row": [float(v) for v in row]})
-    )
-
-    swapped = [PairTriple(adjoint(t.generator), t.q, t.p) for t in triples]
-    out.append(_identity_report("adjoint_swap", mixed_divergence(swapped), base, tol, meta))
-
+    base = row[n]  # the mixed divergence itself
+    perm = [int(x) for x in rng.permutation(n)]
+    swapped = mixed_divergence([PairTriple(adjoint(t.generator), t.q, t.p) for t in triples])
     adjointed = [PairTriple(adjoint(t.generator), t.p, t.q) for t in triples]
     reversed_ = [PairTriple(t.generator, t.q, t.p) for t in triples]
-    rev_adjointed = [PairTriple(adjoint(t.generator), t.q, t.p) for t in triples]
-    s_pq = base + mixed_divergence(adjointed)
-    s_qp = mixed_divergence(reversed_) + mixed_divergence(rev_adjointed)
-    out.append(_identity_report("symmetry_in_distributions", s_pq, s_qp, tol, meta))
-
-    diag = [triples[0]] * n
-    out.append(
-        _identity_report(
-            "diagonal_reduction",
-            mixed_divergence(diag),
-            f_divergence(triples[0].generator, triples[0].p, triples[0].q),
-            tol,
-            meta,
-        )
-    )
-
+    first = triples[0]
     c = float(rng.uniform(0.2, 5.0))
     scaled_space = make_space(space.weights * c)
     rescaled = [
@@ -713,20 +676,38 @@ def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
         )
         for t in triples
     ]
-    out.append(
-        _identity_report(
-            "measure_rescaling", mixed_divergence(rescaled), base, tol, {**meta, "scale": c}
-        )
+    meta = {"instance": idx, "n": n, "atoms": space.n_atoms}
+    identities = (  # (name, value, reference, detail)
+        ("permutation_invariance", mixed_divergence([triples[j] for j in perm]), base, meta),
+        ("order_change", max(row, key=lambda v: _rel_diff(v, base)), base,
+         {**meta, "row": [float(v) for v in row]}),
+        ("adjoint_swap", swapped, base, meta),
+        ("symmetry_in_distributions", base + mixed_divergence(adjointed),
+         mixed_divergence(reversed_) + swapped, meta),
+        ("diagonal_reduction", mixed_divergence([first] * n),
+         f_divergence(first.generator, first.p, first.q), meta),
+        ("measure_rescaling", mixed_divergence(rescaled), base, {**meta, "scale": c}),
     )
-    return out
+    tol = config.tolerances
+    return [_identity_report(name, v, ref, tol, detail) for name, v, ref, detail in identities]
 
 
-def _af_instance(rng, config: AuditConfig, pool: str, idx: int) -> list[AuditReport]:
+def _af_instance(pool: str, rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     triples = _rand_triples(rng, config, pool)
     return [
         _tagged(check_alexandrov_fenchel(triples, m, config.tolerances), instance=idx)
         for m in range(1, len(triples) + 1)
     ]
+
+
+def _concave_chain_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
+    triples = _rand_triples(rng, config, "concave")
+    return [_tagged(check_concave_upper(triples, config.tolerances), instance=idx)]
+
+
+def _jensen_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
+    t = _rand_triple(rng, _rand_space(rng, config), "any")
+    return [_tagged(check_jensen_bound(t.generator, t.p, t.q, config.tolerances), instance=idx)]
 
 
 def _interpolation_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
@@ -739,61 +720,53 @@ def _interpolation_instance(rng, config: AuditConfig, idx: int) -> list[AuditRep
     k = float(rng.uniform(j + 0.5, n + 3.0))
     i = float(rng.uniform(j, k))
     out = [_tagged(check_interpolation(pair1, pair2, n, i, j, k, tol), instance=idx)]
-
-    spec0 = IthMixedSpec(pair1, pair2, i=0.0, n=n)
-    spec_n = IthMixedSpec(pair1, pair2, i=float(n), n=n)
     meta = {"instance": idx, "n": n}
-    out.append(
-        _identity_report(
-            "ith_endpoint_low",
-            ith_mixed(spec0),
-            f_divergence(pair2.generator, pair2.p, pair2.q),
-            tol,
-            meta,
-        )
+    identities = (  # (name, value, reference, detail)
+        ("ith_endpoint_low", ith_mixed(IthMixedSpec(pair1, pair2, i=0.0, n=n)),
+         f_divergence(pair2.generator, pair2.p, pair2.q), meta),
+        ("ith_endpoint_high", ith_mixed(IthMixedSpec(pair1, pair2, i=float(n), n=n)),
+         f_divergence(pair1.generator, pair1.p, pair1.q), meta),
+        # the index duality swaps the coordinate roles and reflects i to n - i;
+        # the lhs of the interpolation report is D(i)
+        ("ith_duality", out[0].lhs, ith_mixed(IthMixedSpec(pair2, pair1, i=n - i, n=n)),
+         {**meta, "i": i}),
     )
-    out.append(
-        _identity_report(
-            "ith_endpoint_high",
-            ith_mixed(spec_n),
-            f_divergence(pair1.generator, pair1.p, pair1.q),
-            tol,
-            meta,
-        )
-    )
-    # the index duality swaps the coordinate roles and reflects i to n - i
-    dual = IthMixedSpec(pair2, pair1, i=n - i, n=n)
-    out.append(
-        _identity_report(
-            "ith_duality",
-            ith_mixed(IthMixedSpec(pair1, pair2, i=i, n=n)),
-            ith_mixed(dual),
-            tol,
-            {**meta, "i": i},
-        )
-    )
+    out += [_identity_report(name, v, ref, tol, detail) for name, v, ref, detail in identities]
     return out
 
 
-def _corollary_instance(rng, config: AuditConfig, case: str, idx: int) -> AuditReport:
-    tol = config.tolerances
-    req1, req2, index_rule, _ = _CASE_TABLE[case]
-    reference = case.startswith("ref_")
-    space = _rand_space(rng, config, probability=reference)
+def _corollary_instance(case: str, rng, config: AuditConfig, idx: int) -> list[AuditReport]:
+    row = _CASE_TABLE[case]
+    space = _rand_space(rng, config, probability=row.reference)
     n = int(rng.integers(1, config.max_pairs + 1))
-    pool1 = "positive_convex" if req1 == "convex" else "positive_concave"
-    pool2 = {"convex": "positive_convex", "concave": "positive_concave", "any": "positive"}[req2]
-    pair1 = _rand_triple(rng, space, pool1)
-    _, draw_range = _INDEX_RULES[index_rule](n)
+    pair1 = _rand_triple(rng, space, row.pool1)
+    _, draw_range = _INDEX_RULES[row.index_rule](n)
     index = float(rng.uniform(*draw_range))
-    if reference:
-        rep = check_corollary(
-            case, pair1, n, index, f2=_rand_generator(rng, pool2), tolerances=tol
-        )
+    if row.reference:
+        second = {"f2": _rand_generator(rng, row.pool2)}
     else:
-        pair2 = _rand_triple(rng, space, pool2)
-        rep = check_corollary(case, pair1, n, index, pair2=pair2, tolerances=tol)
-    return _tagged(rep, instance=idx)
+        second = {"pair2": _rand_triple(rng, space, row.pool2)}
+    rep = check_corollary(case, pair1, n, index, tolerances=config.tolerances, **second)
+    return [_tagged(rep, instance=idx)]
+
+
+def _corollary_at_equality(case: str, rng, config: AuditConfig, n: int, p: Density) -> AuditReport:
+    """The case at its equality condition: all four densities equal p with
+    strict generators, or for the reference variant P1 = Q1 = mu over a
+    probability space."""
+    row = _CASE_TABLE[case]
+    _, draw_range = _INDEX_RULES[row.index_rule](n)
+    if row.reference:
+        prob_space = _rand_space(rng, config, probability=True)
+        unit = validate_density(prob_space, np.ones(prob_space.n_atoms), require_prob=True)
+        pair1 = PairTriple(_rand_generator(rng, "strict_concave"), unit, unit)
+        index = float(rng.uniform(*draw_range))
+        second = {"f2": _rand_generator(rng, row.pool2)}
+    else:
+        pair1 = PairTriple(_rand_generator(rng, "strict_concave"), p, p)
+        second = {"pair2": PairTriple(_rand_generator(rng, "strict_concave"), p, p)}
+        index = float(rng.uniform(*draw_range))
+    return check_corollary(case, pair1, n, index, tolerances=config.tolerances, **second)
 
 
 def _equality_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
@@ -844,30 +817,33 @@ def _equality_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
         float(rng.uniform(j, k)), j, k, tol,
     ))
 
-    # corollary equality: all four densities equal (strict shapes)
-    f_cc = _rand_generator(rng, "strict_concave")
-    g_cc = _rand_generator(rng, "strict_concave")
-    add("corollary_diagonal", check_corollary(
-        "concave_0_i_n",
-        PairTriple(f_cc, p, p),
-        n,
-        float(rng.uniform(0.0, n)),
-        pair2=PairTriple(g_cc, p, p),
-        tolerances=tol,
-    ))
-
-    # reference corollary equality: P1 = Q1 = mu over a probability space
-    prob_space = _rand_space(rng, config, probability=True)
-    unit = validate_density(prob_space, np.ones(prob_space.n_atoms), require_prob=True)
-    add("corollary_reference", check_corollary(
-        "ref_concave",
-        PairTriple(_rand_generator(rng, "strict_concave"), unit, unit),
-        n,
-        float(rng.uniform(0.0, n)),
-        f2=_rand_generator(rng, "positive"),
-        tolerances=tol,
-    ))
+    for case, row in _CASE_TABLE.items():
+        if row.equality_family:
+            add(row.equality_family, _corollary_at_equality(case, rng, config, n, p))
     return out
+
+
+#: the check families in suite order: (AuditConfig count field, instance
+#: runner ``(rng, config, idx) -> reports``, instance count under
+#: ``mixdiv audit --instances n``); each corollary case is a family
+_FAMILIES = (
+    ("identities", _identity_instance, lambda n: n),
+    ("af_convex", partial(_af_instance, "convex"), lambda n: n),
+    ("af_concave", partial(_af_instance, "concave"), lambda n: n),
+    ("concave_chain", _concave_chain_instance, lambda n: n),
+    ("jensen", _jensen_instance, lambda n: n),
+    ("interpolation", _interpolation_instance, lambda n: n),
+    *(
+        ("corollaries", partial(_corollary_instance, case), lambda n: max(1, n // 6))
+        for case in _CASE_TABLE
+    ),
+    ("equality_families", _equality_instance, lambda n: max(1, n // 5)),
+)
+
+
+def _family_counts(instances: int) -> dict[str, int]:
+    """AuditConfig count fields for ``mixdiv audit --instances <instances>``."""
+    return {count_field: count(instances) for count_field, _, count in _FAMILIES}
 
 
 def audit_suite(config: AuditConfig) -> list[AuditReport]:
@@ -878,28 +854,12 @@ def audit_suite(config: AuditConfig) -> list[AuditReport]:
     reported, not raised; see :func:`violations`.
     """
     rng = np.random.default_rng(config.seed)
-    reports: list[AuditReport] = []
-    for idx in range(config.identities):
-        reports.extend(_identity_instance(rng, config, idx))
-    for idx in range(config.af_convex):
-        reports.extend(_af_instance(rng, config, "convex", idx))
-    for idx in range(config.af_concave):
-        reports.extend(_af_instance(rng, config, "concave", idx))
-    for idx in range(config.concave_chain):
-        triples = _rand_triples(rng, config, "concave")
-        reports.append(_tagged(check_concave_upper(triples, config.tolerances), instance=idx))
-    for idx in range(config.jensen):
-        t = _rand_triple(rng, _rand_space(rng, config), "any")
-        rep = check_jensen_bound(t.generator, t.p, t.q, config.tolerances)
-        reports.append(_tagged(rep, instance=idx))
-    for idx in range(config.interpolation):
-        reports.extend(_interpolation_instance(rng, config, idx))
-    for case in COROLLARY_CASES:
-        for idx in range(config.corollaries):
-            reports.append(_corollary_instance(rng, config, case, idx))
-    for idx in range(config.equality_families):
-        reports.extend(_equality_instance(rng, config, idx))
-    return reports
+    return [
+        report
+        for count_field, run, _ in _FAMILIES
+        for idx in range(getattr(config, count_field))
+        for report in run(rng, config, idx)
+    ]
 
 
 def violations(reports: Sequence[AuditReport]) -> list[AuditReport]:

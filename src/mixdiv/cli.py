@@ -28,6 +28,7 @@ import numpy as np
 from .audit import (
     AuditConfig,
     Tolerances,
+    _family_counts,
     audit_suite,
     check_alexandrov_fenchel,
     report_to_dict,
@@ -44,8 +45,8 @@ from .divergence import (
     mixed_divergence_k,
     mixed_renyi,
 )
-from .errors import MixdivError, ParseError
-from .generators import Generator, generator_from_spec, multivariate_from_spec
+from .errors import MixdivError, NotNormalized, ParseError
+from .generators import Generator, _real, generator_from_spec, multivariate_from_spec
 from .geometry import (
     EllipsoidBody,
     ith_mixed_affine_surface_area,
@@ -154,11 +155,12 @@ def _floor_values(values: Sequence[float], space: MeasureSpace, floor: float) ->
 
 
 def _certify(space: MeasureSpace, values, label: str, warnings: list) -> Density:
-    total = integrate(space, np.asarray(values, dtype=float))
-    if abs(total - 1.0) <= EPS_NORM:
+    try:
         return validate_density(space, values, require_prob=True)
-    warnings.append(f"{label} integrates to {total!r}; treated as a raw density")
-    return validate_density(space, values, require_prob=False)
+    except NotNormalized:
+        raw = validate_density(space, values, require_prob=False)
+    warnings.append(f"{label} integrates to {raw.integral()!r}; treated as a raw density")
+    return raw
 
 
 def load_input(
@@ -241,28 +243,12 @@ def run_job(spec: JobSpec) -> int:
         "warnings": [],
         "values": {},
     }
-    exit_code = 0
     try:
+        if spec.command not in _COMMANDS:
+            raise MixdivError(f"unknown command {spec.command!r}")
         tol = _tolerances(spec)
         report["tolerances"] = {**tolerances_to_dict(tol), "eps_norm": EPS_NORM}
-        if spec.command == "audit":
-            exit_code = _run_audit(spec, tol, report)
-        elif spec.command == "geometry":
-            _run_geometry(spec, report)
-        else:
-            space, pairs, warnings, echo = load_document(spec.input_path, spec.epsilon_floor)
-            report["inputs"]["document"] = echo
-            report["warnings"] = warnings
-            if spec.command == "compute":
-                _run_compute(spec, pairs, echo, report)
-            elif spec.command == "mixed":
-                exit_code = _run_mixed(spec, tol, pairs, echo, report)
-            elif spec.command == "ith":
-                _run_ith(spec, pairs, echo, report)
-            elif spec.command == "dissimilarity":
-                _run_dissimilarity(spec, space, pairs, echo, report)
-            else:
-                raise MixdivError(f"unknown command {spec.command!r}")
+        exit_code = _COMMANDS[spec.command](spec, tol, report)
     except MixdivError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _write_report(spec, report)
@@ -272,16 +258,27 @@ def run_job(spec: JobSpec) -> int:
     return exit_code
 
 
-def _run_compute(spec: JobSpec, pairs, echo, report) -> None:
+def _read_document(spec: JobSpec, report: dict) -> tuple[MeasureSpace, list, dict]:
+    """Load the job's input document and echo it, with its warnings, into the report."""
+    space, pairs, warnings, echo = load_document(spec.input_path, spec.epsilon_floor)
+    report["inputs"]["document"] = echo
+    report["warnings"] = warnings
+    return space, pairs, echo
+
+
+def _run_compute(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    _, pairs, echo = _read_document(spec, report)
     gens = _pair_generators(spec, echo, len(pairs))
     values = [f_divergence(g, p, q) for g, (p, q) in zip(gens, pairs)]
     report["values"] = {
         "generators": [g.label for g in gens],
         "f_divergence": values,
     }
+    return 0
 
 
-def _run_mixed(spec: JobSpec, tol: Tolerances, pairs, echo, report) -> int:
+def _run_mixed(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    _, pairs, echo = _read_document(spec, report)
     gens = _pair_generators(spec, echo, len(pairs))
     triples = [PairTriple(g, p, q) for g, (p, q) in zip(gens, pairs)]
     value = mixed_divergence(triples)
@@ -309,7 +306,8 @@ def _run_mixed(spec: JobSpec, tol: Tolerances, pairs, echo, report) -> int:
     return 0
 
 
-def _run_ith(spec: JobSpec, pairs, echo, report) -> None:
+def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    _, pairs, echo = _read_document(spec, report)
     if len(pairs) < 2:
         raise MixdivError("the ith command needs at least two pairs")
     if spec.alpha is not None and not spec.generator_specs:
@@ -326,9 +324,11 @@ def _run_ith(spec: JobSpec, pairs, echo, report) -> None:
         "i_grid": grid,
         "ith_mixed": values,
     }
+    return 0
 
 
-def _run_dissimilarity(spec: JobSpec, space, pairs, echo, report) -> None:
+def _run_dissimilarity(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    space, pairs, echo = _read_document(spec, report)
     if not spec.generator_specs:
         raise MixdivError("dissimilarity needs one --f with a multivariate spec")
     g = multivariate_from_spec(spec.generator_specs[0])
@@ -341,22 +341,11 @@ def _run_dissimilarity(spec: JobSpec, space, pairs, echo, report) -> None:
         dens = [p for (p, _) in pairs]
     value = f_dissimilarity(g, make_vector(dens))
     report["values"] = {"generator": g.label, "dissimilarity": value}
+    return 0
 
 
-def _run_audit(spec: JobSpec, tol: Tolerances, report) -> int:
-    n = spec.instances
-    config = AuditConfig(
-        seed=spec.seed,
-        identities=n,
-        af_convex=n,
-        af_concave=n,
-        concave_chain=n,
-        jensen=n,
-        interpolation=n,
-        corollaries=max(1, n // 6),
-        equality_families=max(1, n // 5),
-        tolerances=tol,
-    )
+def _run_audit(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    config = AuditConfig(seed=spec.seed, tolerances=tol, **_family_counts(spec.instances))
     reports = audit_suite(config)
     bad = violations(reports)
     report["values"] = {
@@ -367,14 +356,23 @@ def _run_audit(spec: JobSpec, tol: Tolerances, report) -> int:
     return 2 if bad else 0
 
 
-def _run_geometry(spec: JobSpec, report) -> None:
+def _body_from_spec(spec) -> EllipsoidBody:
+    axes = spec.get("semi_axes") if isinstance(spec, dict) else None
+    if not isinstance(axes, list):
+        raise MixdivError(f'a body spec is {{"semi_axes": [numbers]}}, got {spec!r}')
+    return EllipsoidBody(semi_axes=tuple(_real("body", "semi_axes", a) for a in axes))
+
+
+def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     body_specs = list(spec.bodies)
     if not body_specs and spec.input_path:
         doc = _parse_document(spec.input_path)
         body_specs = doc.get("bodies", [])
     if not body_specs:
         raise MixdivError("geometry needs --body specs or a document with 'bodies'")
-    bodies = [EllipsoidBody(semi_axes=tuple(b["semi_axes"])) for b in body_specs]
+    if not isinstance(body_specs, list):
+        raise MixdivError(f"'bodies' must be a list of body specs, got {body_specs!r}")
+    bodies = [_body_from_spec(b) for b in body_specs]
     dim = spec.dimension if spec.dimension is not None else bodies[0].dimension
     grid = sphere_grid(dim, spec.resolution)
     gen_specs = spec.generator_specs or [{"kind": "power", "alpha": 0.25}]
@@ -397,6 +395,18 @@ def _run_geometry(spec: JobSpec, report) -> None:
     else:
         values["mixed_affine_surface_area"] = mixed_affine_surface_area(bodies, gens, grid)
     report["values"] = values
+    return 0
+
+
+#: command name -> runner(spec, tolerances, report) -> exit code
+_COMMANDS = {
+    "compute": _run_compute,
+    "mixed": _run_mixed,
+    "ith": _run_ith,
+    "dissimilarity": _run_dissimilarity,
+    "audit": _run_audit,
+    "geometry": _run_geometry,
+}
 
 
 def _write_report(spec: JobSpec, report: dict) -> None:

@@ -12,12 +12,18 @@ raised to various exponents:
 * i-th mixed divergence         two pairs with exponents i/n and (n-i)/n
 * reference variant             second pair replaced by the base measure
 
-Products of powers are evaluated in log space (one ``exp`` of a weighted sum
-of logs per atom) so that large positive or negative exponents do not
-overflow intermediate terms. Zero factors are handled explicitly:
-``0**e`` contributes 0 for e > 0, 1 for e = 0, and ``inf`` for e < 0; an
-atom carrying both a zero-to-positive and a zero-to-negative factor
-contributes 0.
+Products of powers are combined in log space (one ``exp`` of a weighted sum
+of logs per atom), so large exponents do not overflow the product. Each
+factor w_i is still formed in linear space before its log is taken, so a
+factor that overflows or underflows gives a wrong value: mu = (1, 1),
+P = (1e-300, 1), Q = (0.5, 0.5), f = (t**3, t**-3) returns 0.5, not 1.0.
+The weighted sum is one BLAS matrix-vector product, whose rounding depends
+on the batch shape and on an atom's position, so per-atom terms, and hence
+mixed and interpolated values, can move in the last bit when atoms are
+batched or reordered. Zero factors are handled explicitly: ``0**e``
+contributes 0 for e > 0, 1 for e = 0, and ``inf`` for e < 0; an atom
+carrying both a zero-to-positive and a zero-to-negative factor contributes
+0.
 """
 
 from __future__ import annotations
@@ -34,13 +40,13 @@ from .errors import (
     MixedArityZero,
     ReferenceNotProbability,
     RenyiAlphaOne,
-    SpaceMismatch,
 )
 from .generators import Generator, MultivariateGenerator, adjoint, make_generator
 from .measures import (
     Density,
     MeasureSpace,
     MeasureVector,
+    integrate,
     same_space,
 )
 
@@ -76,8 +82,7 @@ class IthMixedSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise IndexOutOfRange(f"ambient exponent base n={self.n} must be >= 1")
-        if self.pair1.space != self.pair2.space:
-            raise SpaceMismatch("the two pairs live on different measure spaces")
+        same_space(self.pair1.p, self.pair2.p)
 
     @property
     def space(self) -> MeasureSpace:
@@ -117,14 +122,13 @@ def weighted_product_integral(
         zero_neg = np.any(zero & (e < 0.0)[:, None], axis=0)
         terms = np.where(zero_neg, np.inf, terms)
         terms = np.where(zero_pos, 0.0, terms)
-    return math.fsum((terms * space.weights).tolist())
+    return integrate(space, terms)
 
 
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
     """Classical divergence: integral of f(p/q) * q."""
     space = same_space(p, q)
-    w = g.eval_array(p.values / q.values) * q.values
-    return math.fsum((w * space.weights).tolist())
+    return integrate(space, g.eval_array(p.values / q.values) * q.values)
 
 
 def mixed_divergence(triples: Sequence[PairTriple]) -> float:
@@ -196,7 +200,7 @@ def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float
     if len(densities) != g.arity:
         raise ArityMismatch(f"generator arity {g.arity} vs {len(densities)} densities")
     vals = g.eval_block(np.stack([d.values for d in densities.densities]))
-    return math.fsum((vals * densities.space.weights).tolist())
+    return integrate(densities.space, vals)
 
 
 # --- named wrappers -------------------------------------------------------------

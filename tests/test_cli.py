@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from mixdiv.audit import COROLLARY_CASES
 from mixdiv.cli import JobSpec, load_document, load_input, main, run_job
 from mixdiv.errors import NonpositiveDensity, ParseError
 
@@ -199,6 +201,22 @@ def test_audit_job_exit_zero(tmp_path):
     assert values["total_reports"] > 0
 
 
+def test_audit_job_instances_per_family(tmp_path):
+    out = tmp_path / "audit.json"
+    assert run_job(JobSpec(command="audit", seed=3, instances=12, output_path=str(out))) == 0
+    counts = Counter(
+        r["detail"].get("family", r["name"]) for r in json.loads(out.read_text())["values"]["reports"]
+    )
+    for name in ("permutation_invariance", "concave_product_chain", "jensen_bound",
+                 "holder_interpolation", "ith_duality"):
+        assert counts[name] == 12
+    for case in COROLLARY_CASES:
+        assert counts[f"corollary_{case}"] == 12 // 6
+    for family in ("identical_triples", "jensen_linear", "corollary_diagonal",
+                   "corollary_reference"):
+        assert counts[family] == 12 // 5
+
+
 def test_audit_job_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -254,14 +272,25 @@ def test_invalid_density_exits_one_with_report(tmp_path):
     ["dissimilarity", "--f", '{"kind":"matusita"}'],
     ["audit", "--instances", "3", "--tol-ineq", "nan"],
     ["audit", "--instances", "3", "--tol-ineq", "-1"],
+    ["geometry", "--body", '{}'],
+    ["geometry", "--body", '[1,2]'],
+    ["geometry", "--body", '{"semi_axes":["x"]}'],
 ])
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"
-    if argv[0] != "audit":
+    if argv[0] not in ("audit", "geometry"):
         argv = argv + ["--input", fixture_path]
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["type"] and error["message"]
+
+
+def test_unknown_command_exits_one_before_reading_input(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_job(JobSpec(command="bogus", output_path=str(out))) == 1
+    report = json.loads(out.read_text())
+    assert report["error"]["message"] == "unknown command 'bogus'"
+    assert report["inputs"]["document"] is None
 
 
 def test_main_entry_point(fixture_path, tmp_path):
