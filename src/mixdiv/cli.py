@@ -49,7 +49,7 @@ from .errors import MixdivError, NotNormalized, ParseError
 from .generators import Generator, _real, generator_from_spec, multivariate_from_spec
 from .geometry import (
     EllipsoidBody,
-    ith_mixed_affine_surface_area,
+    _ith_mixed_areas,
     mixed_affine_surface_area,
     sphere_grid,
 )
@@ -388,10 +388,9 @@ def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     }
     if spec.i_values:
         values["i_grid"] = [float(v) for v in spec.i_values]
-        values["ith_mixed_affine_surface_area"] = [
-            ith_mixed_affine_surface_area(bodies[0], bodies[1], gens, i, grid)
-            for i in spec.i_values
-        ]
+        values["ith_mixed_affine_surface_area"] = _ith_mixed_areas(
+            bodies[0], bodies[1], gens, spec.i_values, grid
+        )
     else:
         values["mixed_affine_surface_area"] = mixed_affine_surface_area(bodies, gens, grid)
     report["values"] = values

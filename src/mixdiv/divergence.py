@@ -14,9 +14,10 @@ raised to various exponents:
 
 Products of powers are combined in log space (one ``exp`` of a weighted sum
 of logs per atom), so large exponents do not overflow the product. Each
-factor w_i is still formed in linear space before its log is taken, so a
-factor that overflows or underflows gives a wrong value: mu = (1, 1),
-P = (1e-300, 1), Q = (0.5, 0.5), f = (t**3, t**-3) returns 0.5, not 1.0.
+factor w_i is still formed in linear space before its log is taken: a
+generator value that overflows raises (mu = (1, 1), P = (1e-300, 1),
+Q = (0.5, 0.5), f = (t**3, t**-3) has value 1.0, but t**-3 overflows), and
+a factor that underflows to 0 drops its atom's share of the integral.
 The weighted sum is one BLAS matrix-vector product, whose rounding depends
 on the batch shape and on an atom's position, so per-atom terms, and hence
 mixed and interpolated values, can move in the last bit when atoms are

@@ -84,15 +84,21 @@ class Generator:
         return eval_generator(self, t)
 
     def eval_array(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over strictly positive values."""
+        """Vectorized evaluation over strictly positive values; a value that
+        is not finite (an overflow, say) raises MixdivError."""
         t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t) & (t > 0.0)):
+        if not (np.isfinite(t) & (t > 0.0)).all():
             raise NonpositiveArgument("generator arguments must be finite and > 0")
         return self._evaluate(t)
 
     def _evaluate(self, t: np.ndarray) -> np.ndarray:
         out = _KINDS[self.kind].evaluate(self, t)
-        return out if self.scale == 1.0 else self.scale * out
+        if self.scale != 1.0:
+            out = self.scale * out
+        if not np.isfinite(out).all():
+            bad = t[~np.isfinite(out)][0]
+            raise MixdivError(f"generator {self.label} is not finite at t={float(bad)!r}")
+        return out
 
     @property
     def label(self) -> str:
@@ -284,7 +290,8 @@ def adjoint(g: Generator) -> Generator:
 
 def eval_generator(g: Generator, t: float) -> float:
     """Evaluate f(t) for scalar t > 0 on the array path, so the value equals
-    ``g.eval_array([t])[0]``; raises NonpositiveArgument or NegativeValue."""
+    ``g.eval_array([t])[0]``; raises NonpositiveArgument, NegativeValue or,
+    for a value that is not finite, MixdivError."""
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise NonpositiveArgument(f"generator argument {t!r} not in (0, inf)")

@@ -134,7 +134,10 @@ def support_values(body: EllipsoidBody, grid: SphereGrid) -> np.ndarray:
 
 def curvature_values(body: EllipsoidBody, grid: SphereGrid) -> np.ndarray:
     """f(u) = (prod a_i)^2 / h(u)^(n+1) at every grid node."""
-    h = support_values(body, grid)
+    return _curvature(body, support_values(body, grid))
+
+
+def _curvature(body: EllipsoidBody, h: np.ndarray) -> np.ndarray:
     vol_factor = math.prod(body.semi_axes) ** 2
     return vol_factor / h ** (body.dimension + 1)
 
@@ -146,7 +149,7 @@ def body_densities(body: EllipsoidBody, grid: SphereGrid) -> tuple[Density, Dens
     densities on the grid's measure space.
     """
     h = support_values(body, grid)
-    f = curvature_values(body, grid)
+    f = _curvature(body, h)
     n = grid.dimension
     p = validate_density(grid.space, h ** (-n), require_prob=False)
     q = validate_density(grid.space, f * h, require_prob=False)
@@ -185,8 +188,23 @@ def ith_mixed_affine_surface_area(
     """Two-body interpolated variant with exponents i/n and (n-i)/n,
     n being the grid dimension. Endpoints i=0 and i=n reduce to the
     single-body values of body2 and body1."""
+    return _ith_mixed_areas(body1, body2, generators, [i], grid)[0]
+
+
+def _ith_mixed_areas(
+    body1: EllipsoidBody,
+    body2: EllipsoidBody,
+    generators: Sequence[Generator],
+    i_values: Sequence[float],
+    grid: SphereGrid,
+) -> list[float]:
+    """:func:`ith_mixed_affine_surface_area` at each index, with each body's
+    densities built once."""
     if len(generators) != 2:
         raise DimensionMismatch(f"need exactly 2 generators, got {len(generators)}")
     pair1 = PairTriple(generators[0], *body_densities(body1, grid))
     pair2 = PairTriple(generators[1], *body_densities(body2, grid))
-    return ith_mixed(IthMixedSpec(pair1, pair2, i=float(i), n=grid.dimension))
+    return [
+        ith_mixed(IthMixedSpec(pair1, pair2, i=float(i), n=grid.dimension))
+        for i in i_values
+    ]

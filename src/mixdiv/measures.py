@@ -5,9 +5,19 @@ weights. Densities are per-atom values relative to those weights and are
 required to be strictly positive everywhere, which keeps every downstream
 ratio p/q well defined and finite.
 
-Integration uses :func:`math.fsum`, an exactly rounded summation, so results
-are bit-for-bit reproducible regardless of how callers might batch or reorder
-atoms.
+Integrals are exactly rounded: every sum returns the bits of
+``math.fsum(values.tolist())``, so results are bit-for-bit reproducible
+however callers order the atoms. Arrays of at least ``_EXTRACT_CUTOVER``
+elements are summed without boxing each element into a Python float, by
+error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
+summation I*, SIAM J. Sci. Comput. 31(1), 2008): each pass splits the
+remainder r into q = (sigma + r) - sigma and r - q, both exact for a power
+of two sigma large enough that each block of q's sums exactly in any
+order, until the remainder is zero; ``math.fsum`` then rounds the block
+sums once. Shorter arrays, and arrays holding NaN, an infinity or values
+too large for sigma, are summed by ``math.fsum`` itself. Finite terms whose
+sum overflows raise a typed error (``NonpositiveWeight`` for a total mass);
+an infinite term gives an infinite integral.
 """
 
 from __future__ import annotations
@@ -31,9 +41,23 @@ from .errors import (
 #: absolute tolerance on |integral - 1| for probability certification
 EPS_NORM = 1e-9
 
+#: arrays shorter than this are summed by ``math.fsum`` on a list, which is
+#: faster there; both paths give the same bits. The two cost the same near
+#: 900 elements (2-vCPU Xeon, numpy 2.4).
+_EXTRACT_CUTOVER = 1024
+
+#: extraction sums q in blocks this long, so each pass takes
+#: 53 - bitlen(_SUM_BLOCK + 2) = 42 bits off the remainder, and works on
+#: chunks of _SUM_CHUNK elements (512 KiB), which stay in cache across passes
+_SUM_BLOCK = 1024
+_SUM_CHUNK = 64 * _SUM_BLOCK
+
 
 def _frozen_array(values: Sequence[float]) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MixdivError(f"per-atom data must be numbers: {exc}") from None
     if arr.ndim != 1:
         raise MixdivError("per-atom data must be one-dimensional")
     arr.setflags(write=False)
@@ -123,7 +147,8 @@ def make_space(
     EmptySpace
         If ``weights`` is empty.
     NonpositiveWeight
-        If any weight is <= 0 or not finite; the message reports the index.
+        If any weight is <= 0 or not finite (the message reports the index),
+        or if the weights sum beyond the float range.
     """
     arr = _frozen_array(weights)
     if arr.size == 0:
@@ -138,9 +163,10 @@ def make_space(
         ids = tuple(atom_ids)
         if len(ids) != arr.size:
             raise LengthMismatch(f"{len(ids)} atom ids for {arr.size} weights")
-    total = math.fsum(arr.tolist())
-    if not math.isfinite(total):
-        raise NonpositiveWeight("total mass is not finite")
+    try:
+        total = _exact_sum(arr)
+    except OverflowError:
+        raise NonpositiveWeight("total mass is not finite") from None
     return MeasureSpace(atom_ids=ids, weights=arr, total_mass=total)
 
 
@@ -179,11 +205,57 @@ def integrate(space: MeasureSpace, values: Sequence[float]) -> float:
     Raises
     ------
     LengthMismatch
+    MixdivError
+        If finite terms sum beyond the float range.
     """
     arr = np.asarray(values, dtype=float)
     if arr.shape != space.weights.shape:
         raise LengthMismatch(f"{arr.size} values for {space.n_atoms} atoms")
-    return math.fsum((arr * space.weights).tolist())
+    try:
+        return _exact_sum(arr * space.weights)
+    except OverflowError:
+        raise MixdivError("the integral's finite terms sum beyond the float range") from None
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())``, bit for bit, without boxing the elements.
+
+    Error-free extraction, chunk by chunk so the passes stay in cache: with
+    sigma a power of two at least 2**b * max|r|, where 2**b > _SUM_BLOCK + 2,
+    each q = (sigma + r) - sigma is exact, a multiple of 2**-53 * sigma and
+    about 2**-b * sigma at most, so the sum of each block of ``_SUM_BLOCK``
+    q's is exact in any order, and so is the remainder r - q, which is at
+    most 2**-53 * sigma. Passes repeat on the remainder until it is zero;
+    the exact sum is then the sum of the block sums, which ``math.fsum``
+    rounds once. Short arrays, NaN, infinities and inputs whose sigma would
+    overflow go to ``math.fsum`` itself, as does a zero total, whose sign
+    ``math.fsum`` decides.
+    """
+    n = x.size
+    if n < _EXTRACT_CUTOVER:
+        return math.fsum(x.tolist())
+    b = (_SUM_BLOCK + 2).bit_length()
+    r_buf = np.empty(min(n, _SUM_CHUNK))
+    q_buf = np.empty_like(r_buf)
+    sums = []
+    for start in range(0, n, _SUM_CHUNK):
+        chunk = x[start : start + _SUM_CHUNK]
+        r, q = r_buf[: chunk.size], q_buf[: chunk.size]
+        r[...] = chunk
+        whole = chunk.size - chunk.size % _SUM_BLOCK
+        m = max(float(r.max()), -float(r.min()))
+        if not m < 2.0 ** (1023 - b):
+            return math.fsum(x.tolist())
+        while m > 0.0:
+            sigma = math.ldexp(1.0, math.frexp(m)[1] + b)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            sums += q[:whole].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist()
+            sums.append(float(q[whole:].sum()))
+            r -= q
+            m = max(float(r.max()), -float(r.min()))
+    total = math.fsum(sums)
+    return total if total != 0.0 else math.fsum(x.tolist())
 
 
 def same_space(*densities: Density) -> MeasureSpace:

@@ -264,6 +264,19 @@ def test_invalid_density_exits_one_with_report(tmp_path):
     assert report["error"]["type"] == "NonpositiveDensity"
 
 
+#: input documents that malformed-input rows name by an "@name" argument
+BAD_DOCUMENTS = {
+    "@overflowing_mass": {
+        "mu": [1e308, 1e308], "pairs": [{"p": [1e-308, 1e-308], "q": [1e-308, 1e-308]}],
+    },
+    "@overflowing_integral": {
+        "mu": [1.0, 1.0], "pairs": [{"p": [1e308, 1e308], "q": [1e308, 1e308]}],
+    },
+    "@string_list_density": {"mu": [1.0, 1.0], "pairs": [{"p": ["a", "b"], "q": [0.5, 0.5]}]},
+    "@string_density": {"mu": [1.0, 1.0], "pairs": [{"p": "ab", "q": [0.5, 0.5]}]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--f", '{"kind":"power"}'],
     ["compute", "--f", '{"kind":"linear","a":"x","b":1}'],
@@ -275,10 +288,20 @@ def test_invalid_density_exits_one_with_report(tmp_path):
     ["geometry", "--body", '{}'],
     ["geometry", "--body", '[1,2]'],
     ["geometry", "--body", '{"semi_axes":["x"]}'],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@overflowing_mass"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@overflowing_integral"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@string_list_density"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@string_density"],
+    ["compute", "--f", '{"kind":"power","alpha":1e308}'],
 ])
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"
-    if argv[0] not in ("audit", "geometry"):
+    for name, doc in BAD_DOCUMENTS.items():
+        if name in argv:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            argv = [str(path) if a == name else a for a in argv]
+    if argv[0] not in ("audit", "geometry") and "--input" not in argv:
         argv = argv + ["--input", fixture_path]
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]

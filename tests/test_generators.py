@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mixdiv import adjoint, eval_generator, make_generator
 from mixdiv.errors import (
     InvalidLinear,
+    MixdivError,
     NegativeValue,
     NonpositiveArgument,
     ShapeMismatch,
@@ -147,6 +148,19 @@ def test_eval_rejects_nonpositive():
             eval_generator(g, bad)
     with pytest.raises(NonpositiveArgument):
         g.eval_array(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("g, t", [
+    (make_generator("power", alpha=1e308), 2.0),
+    (make_generator("power", alpha=-400.0), 1e-10),
+    (make_generator("linear", a=1e308, b=1.0), 2.0),
+    (scale_generator(make_generator("power", alpha=2.0), 1e300), 1e10),
+])
+def test_overflowing_value_is_typed(g, t):
+    with pytest.raises(MixdivError, match=f"not finite at t={t!r}"):
+        g.eval_array(np.array([1.0, t]))
+    with pytest.raises(MixdivError, match="not finite"):
+        g(t)
 
 
 def test_custom_generator_roundtrip():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from mixdiv import integrate, make_space, make_vector, validate_density
 from mixdiv.errors import (
     EmptySpace,
     LengthMismatch,
+    MixdivError,
     NonpositiveDensity,
     NonpositiveWeight,
     NotNormalized,
     SpaceMismatch,
 )
+
+from mixdiv.measures import _EXTRACT_CUTOVER, _SUM_BLOCK, _SUM_CHUNK, _exact_sum
 
 from oracles import direct_integral
 
@@ -157,3 +161,99 @@ def test_make_vector_requires_shared_space():
 def test_space_value_equality():
     assert make_space([1.0, 2.0]) == make_space([1.0, 2.0])
     assert make_space([1.0, 2.0]) != make_space([2.0, 1.0])
+
+
+def _signed(rng, n):
+    return rng.choice([-1.0, 1.0], n)
+
+
+def _cancelling(rng, n):
+    # terms of magnitude up to 1e20 that cancel in pairs, plus tiny leftovers
+    a = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-20.0, 20.0, n // 2)
+    rest = rng.standard_normal(n - 2 * a.size) * 1e-30
+    return rng.permutation(np.concatenate([a, -a, rest]))
+
+
+#: input families for the exact-sum property test: name -> (rng, n) -> array
+_SUM_INPUTS = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "same_sign": lambda rng, n: rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(-300.0, 300.0),
+    "cancellation": _cancelling,
+    "near_1e300": lambda rng, n: _signed(rng, n) * 10.0 ** rng.uniform(290.0, 300.0, n),
+    "overflowing": lambda rng, n: _signed(rng, n) * 10.0 ** rng.uniform(300.0, 308.25, n),
+    "near_1e-300": lambda rng, n: _signed(rng, n) * 10.0 ** rng.uniform(-323.0, -295.0, n),
+    "subnormal": lambda rng, n: _signed(rng, n) * 5e-324 * rng.integers(1, 2**52, n),
+    "full_range": lambda rng, n: _signed(rng, n) * np.ldexp(
+        rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1024, n)
+    ),
+    "positive": lambda rng, n: np.exp(rng.uniform(-30.0, 30.0, n)),
+    "zeros": lambda rng, n: _signed(rng, n) * 0.0,
+}
+
+
+def _outcome(fn, x):
+    try:
+        return struct.pack("<d", fn(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 10**9),
+    n=st.one_of(
+        st.integers(1, _EXTRACT_CUTOVER - 1),
+        st.integers(_EXTRACT_CUTOVER, 5000),
+        st.integers(_SUM_CHUNK - _SUM_BLOCK, 3 * _SUM_CHUNK + _SUM_BLOCK),
+    ),
+    kind=st.sampled_from(sorted(_SUM_INPUTS)),
+    special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_matches_fsum_bitwise(seed, n, kind, special):
+    rng = np.random.default_rng(seed)
+    x = _SUM_INPUTS[kind](rng, n)
+    if special is not None:
+        x[rng.integers(0, n, 1 + n // 1000)] = special
+    assert _outcome(_exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x)
+
+
+def test_exact_sum_same_sign_block_sums():
+    # terms near the maximum make block sums as large as they get; sigma's
+    # headroom must still keep every block sum exact
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(_EXTRACT_CUTOVER, _SUM_CHUNK + 5000))
+        x = rng.uniform(0.5, 1.0, n) * 2.0 ** int(rng.integers(-100, 100))
+        assert _exact_sum(x) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_integrate_permutation_exact_above_cutover(n):
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.1, 3.0, n)
+    v = rng.uniform(-5.0, 5.0, n) * np.exp(rng.uniform(-30.0, 30.0, n))
+    want = math.fsum((v * w).tolist())
+    assert integrate(make_space(w), v) == want
+    for _ in range(3):
+        perm = rng.permutation(n)
+        assert integrate(make_space(w[perm]), v[perm]) == want
+
+
+@pytest.mark.parametrize("n", [2, 2 * _EXTRACT_CUTOVER])
+def test_summation_overflow_is_typed(n):
+    with pytest.raises(NonpositiveWeight, match="total mass is not finite"):
+        make_space(np.full(n, 1e308))
+    space = make_space(np.ones(n))
+    with pytest.raises(MixdivError, match="float range"):
+        integrate(space, np.full(n, 1e308))
+    terms = np.ones(n)
+    terms[-1] = math.inf
+    assert integrate(space, terms) == math.inf
+
+
+@pytest.mark.parametrize("values", [["a", "b"], "ab", [1.0, {"x": 1}]])
+def test_non_numeric_per_atom_data_is_typed(values):
+    with pytest.raises(MixdivError, match="per-atom data must be numbers"):
+        make_space(values)
+    with pytest.raises(MixdivError, match="per-atom data must be numbers"):
+        validate_density(make_space([1.0, 1.0]), values)
