@@ -30,6 +30,7 @@ import numpy as np
 from .divergence import (
     IthMixedSpec,
     PairTriple,
+    _ith_mixed_grid,
     f_divergence,
     integrand_factor,
     ith_mixed,
@@ -411,19 +412,14 @@ def check_interpolation(
     for role, g in (("f1", pair1.generator), ("f2", pair2.generator)):
         _require_shape(g, "positive", role)
 
-    def at(index: float) -> float:
-        return ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
-
-    d_i, d_j, d_k = at(i), at(j), at(k)
+    (d_i, d_j, d_k), w1, w2 = _ith_mixed_grid(pair1, pair2, [i, j, k], n)
     lhs = d_i
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
 
     if i == j or i == k:
         expected, spread = True, 0.0
     else:
-        verdict = effectively_proportional(
-            integrand_factor(pair1), integrand_factor(pair2), tolerances.prop
-        )
+        verdict = effectively_proportional(w1, w2, tolerances.prop)
         expected, spread = verdict.proportional, verdict.ratio_spread
 
     detail = {

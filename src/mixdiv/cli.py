@@ -36,11 +36,10 @@ from .audit import (
     violations,
 )
 from .divergence import (
-    IthMixedSpec,
     PairTriple,
+    _ith_mixed_grid,
     f_divergence,
     f_dissimilarity,
-    ith_mixed,
     mixed_divergence,
     mixed_divergence_k,
     mixed_renyi,
@@ -57,6 +56,7 @@ from .measures import (
     EPS_NORM,
     Density,
     MeasureSpace,
+    _frozen_array,
     integrate,
     make_space,
     make_vector,
@@ -146,7 +146,7 @@ def _parse_csv(path: str, text: str) -> dict:
 
 
 def _floor_values(values: Sequence[float], space: MeasureSpace, floor: float) -> list[float]:
-    arr = np.asarray(values, dtype=float)
+    arr = _frozen_array(values)
     if not np.any(arr == 0.0):
         return [float(v) for v in arr]
     arr = np.where(arr == 0.0, floor, arr)
@@ -203,7 +203,7 @@ def load_document(
         echo_pairs.append(echo_pair)
     echo = {"mu": [float(w) for w in space.weights], "pairs": echo_pairs}
     if "densities" in doc:
-        echo["densities"] = [[float(v) for v in row] for row in doc["densities"]]
+        echo["densities"] = [_frozen_array(row).tolist() for row in doc["densities"]]
     return space, pairs, warnings, echo
 
 
@@ -317,7 +317,7 @@ def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     grid = [float(v) for v in spec.i_values] or [float(v) for v in range(n + 1)]
     triple1 = PairTriple(gens[0], *pairs[0])
     triple2 = PairTriple(gens[1], *pairs[1])
-    values = [ith_mixed(IthMixedSpec(triple1, triple2, i=i, n=n)) for i in grid]
+    values = _ith_mixed_grid(triple1, triple2, grid, n)[0]
     report["values"] = {
         "generators": [g.label for g in gens],
         "n": n,

@@ -12,19 +12,27 @@ raised to various exponents:
 * i-th mixed divergence         two pairs with exponents i/n and (n-i)/n
 * reference variant             second pair replaced by the base measure
 
-Products of powers are combined in log space (one ``exp`` of a weighted sum
-of logs per atom), so large exponents do not overflow the product. Each
-factor w_i is still formed in linear space before its log is taken: a
-generator value that overflows raises (mu = (1, 1), P = (1e-300, 1),
-Q = (0.5, 0.5), f = (t**3, t**-3) has value 1.0, but t**-3 overflows), and
-a factor that underflows to 0 drops its atom's share of the integral.
-The weighted sum is one BLAS matrix-vector product, whose rounding depends
-on the batch shape and on an atom's position, so per-atom terms, and hence
-mixed and interpolated values, can move in the last bit when atoms are
-batched or reordered. Zero factors are handled explicitly: ``0**e``
-contributes 0 for e > 0, 1 for e = 0, and ``inf`` for e < 0; an atom
-carrying both a zero-to-positive and a zero-to-negative factor contributes
-0.
+Each factor w_i is formed in linear space, and one that is not finite
+raises a typed error: a generator value that overflows names its argument
+(mu = (1, 1), P = (1e-300, 1), Q = (0.5, 0.5), f = (t**3, t**-3) has value
+1.0, but t**-3 overflows), and a finite generator value whose product with
+q overflows names the atom (mu = (1e-100, 1), P = (1e250, 1),
+Q = (1e150, 1), f = t**2). A factor that underflows to 0 drops its atom's
+share of the integral.
+
+Products of powers are combined in log space, one ``exp`` per atom, so
+large exponents do not overflow the product. The combination is one loop
+over the factors in the order given, with exponent-0 factors skipped (so
+``0**0`` = 1): ``acc += e_i * log(w_i)``, elementwise. Every atom's term is
+therefore the same sequence of IEEE operations on that atom's own values,
+bit for bit the same however the atoms are batched or ordered. A zero factor
+has log -inf, so IEEE ``exp`` gives ``0**e`` = 0 for e > 0 and ``inf`` for
+e < 0 directly. The one undefined case, an atom with both a zero-to-positive
+and a zero-to-negative factor (-inf + inf = NaN), contributes 0. Exponents
+must be finite, with absolute values summing to at most 1e300: the log of a
+finite nonzero factor is below 745 in magnitude, so the weighted sum of such
+logs stays finite, and with nonnegative finite factors, which every
+functional here passes, no other NaN can arise.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     IndexOutOfRange,
+    LengthMismatch,
+    MixdivError,
     MixedArityZero,
     ReferenceNotProbability,
     RenyiAlphaOne,
@@ -81,8 +91,7 @@ class IthMixedSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise IndexOutOfRange(f"ambient exponent base n={self.n} must be >= 1")
+        _check_base(self.n)
         same_space(self.pair1.p, self.pair2.p)
 
     @property
@@ -90,46 +99,91 @@ class IthMixedSpec:
         return self.pair1.space
 
 
+#: bound on the sum of |exponent| in weighted_product_integral; with every
+#: |log w| < 745 for finite w > 0, the weighted sum of logs stays finite
+_EXPONENT_MASS_LIMIT = 1e300
+
+
+def _check_base(n: int) -> None:
+    if n < 1:
+        raise IndexOutOfRange(f"ambient exponent base n={n} must be >= 1")
+
+
+def _factor(g: Generator, num: Density, den: Density) -> np.ndarray:
+    """Per-atom values of g(num/den) * den; a value that is not finite raises."""
+    out = g.eval_array(num.values / den.values)
+    out *= den.values
+    if not np.isfinite(out).all():
+        atom = num.space.atom_ids[int(np.flatnonzero(~np.isfinite(out))[0])]
+        raise MixdivError(f"integrand factor of {g.label} is not finite at atom {atom!r}")
+    return out
+
+
 def integrand_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of f(p/q) * q for one triple."""
-    ratio = triple.p.values / triple.q.values
-    return triple.generator.eval_array(ratio) * triple.q.values
+    """Per-atom values of f(p/q) * q for one triple.
+
+    Raises MixdivError, naming the atom, when a value is not finite."""
+    return _factor(triple.generator, triple.p, triple.q)
 
 
 def adjoint_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of the identical quantity in adjoint form f*(q/p) * p."""
-    ratio = triple.q.values / triple.p.values
-    return adjoint(triple.generator).eval_array(ratio) * triple.p.values
+    """Per-atom values of the identical quantity in adjoint form f*(q/p) * p.
+
+    Raises MixdivError, naming the atom, when a value is not finite."""
+    return _factor(adjoint(triple.generator), triple.q, triple.p)
 
 
 def weighted_product_integral(
     space: MeasureSpace, factors: Sequence[np.ndarray], exponents: Sequence[float]
 ) -> float:
-    """Integrate prod_i factors[i]**exponents[i] over the space, in log space."""
+    """Integrate prod_i factors[i]**exponents[i] over the space, in log space.
+
+    The factors must be nonnegative and finite; see the module docstring for
+    the order of operations and the zero rules.
+
+    Raises
+    ------
+    ArityMismatch
+        If there are not as many exponents as factors.
+    LengthMismatch
+        If a factor does not have one value per atom.
+    IndexOutOfRange
+        If an exponent is not finite or their absolute values sum beyond 1e300.
+    """
     if len(factors) != len(exponents):
         raise ArityMismatch(f"{len(factors)} factors vs {len(exponents)} exponents")
-    exp_arr = np.asarray(exponents, dtype=float)
-    active = exp_arr != 0.0
-    if not np.any(active):
-        terms = np.ones(space.n_atoms)
-    else:
-        w = np.stack([np.asarray(f, dtype=float) for f in factors])[active]
-        e = exp_arr[active]
-        zero = w == 0.0
-        with np.errstate(divide="ignore"):
-            logs = np.where(zero, 0.0, np.log(np.where(zero, 1.0, w)))
-        terms = np.exp(e @ logs)
-        zero_pos = np.any(zero & (e > 0.0)[:, None], axis=0)
-        zero_neg = np.any(zero & (e < 0.0)[:, None], axis=0)
-        terms = np.where(zero_neg, np.inf, terms)
-        terms = np.where(zero_pos, 0.0, terms)
+    if not sum(abs(e) for e in exponents) <= _EXPONENT_MASS_LIMIT:
+        raise IndexOutOfRange(
+            f"exponents {list(exponents)!r} must be finite, with absolute values "
+            f"summing to at most {_EXPONENT_MASS_LIMIT:g}"
+        )
+    acc = scratch = None
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; -inf + inf
+        for w, e in zip(factors, exponents):
+            w = np.asarray(w, dtype=float)
+            if w.shape != space.weights.shape:
+                raise LengthMismatch(f"factor of {w.size} values for {space.n_atoms} atoms")
+            if e == 0.0:
+                continue
+            t = np.log(w, out=scratch)
+            t *= e
+            if acc is None:
+                acc = t
+            else:
+                acc += t
+                scratch = t
+    if acc is None:
+        return integrate(space, np.ones(space.n_atoms))
+    terms = np.exp(acc, out=acc)
+    terms[np.isnan(terms)] = 0.0
     return integrate(space, terms)
 
 
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
-    """Classical divergence: integral of f(p/q) * q."""
-    space = same_space(p, q)
-    return integrate(space, g.eval_array(p.values / q.values) * q.values)
+    """Classical divergence: integral of f(p/q) * q.
+
+    Raises MixdivError, naming the atom, when f(p/q) * q is not finite."""
+    return integrate(same_space(p, q), _factor(g, p, q))
 
 
 def mixed_divergence(triples: Sequence[PairTriple]) -> float:
@@ -167,10 +221,23 @@ def ith_mixed(spec: IthMixedSpec) -> float:
     (i = 0 gives pair2, i = n gives pair1), and the index satisfies the
     duality D((f1,f2), (P1,P2), (Q1,Q2); i) = D((f2,f1), (P2,Q2), (P1,Q1); n-i).
     """
-    w1 = integrand_factor(spec.pair1)
-    w2 = integrand_factor(spec.pair2)
-    e1 = spec.i / spec.n
-    return weighted_product_integral(spec.space, [w1, w2], [e1, 1.0 - e1])
+    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0][0]
+
+
+def _ith_mixed_grid(
+    pair1: PairTriple, pair2: PairTriple, indices: Sequence[float], n: int
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """:func:`ith_mixed` at each index, with both integrand factors computed
+    once; returns the values and the factors w1, w2, for callers that reuse
+    them."""
+    _check_base(n)
+    space = same_space(pair1.p, pair2.p)
+    w1, w2 = integrand_factor(pair1), integrand_factor(pair2)
+    values = []
+    for i in indices:
+        e1 = i / n
+        values.append(weighted_product_integral(space, [w1, w2], [e1, 1.0 - e1]))
+    return values, w1, w2
 
 
 def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> float:
@@ -179,8 +246,7 @@ def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> f
 
     Requires the underlying space to be a probability space.
     """
-    if n < 1:
-        raise IndexOutOfRange(f"ambient exponent base n={n} must be >= 1")
+    _check_base(n)
     space = pair1.space
     if not space.is_probability:
         raise ReferenceNotProbability(

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import IthMixedSpec, PairTriple, ith_mixed, mixed_divergence
+from .divergence import PairTriple, _ith_mixed_grid, mixed_divergence
 from .errors import DimensionMismatch, MixdivError, UnsupportedDimension
 from .generators import Generator
 from .measures import Density, MeasureSpace, make_space, validate_density
@@ -204,7 +204,4 @@ def _ith_mixed_areas(
         raise DimensionMismatch(f"need exactly 2 generators, got {len(generators)}")
     pair1 = PairTriple(generators[0], *body_densities(body1, grid))
     pair2 = PairTriple(generators[1], *body_densities(body2, grid))
-    return [
-        ith_mixed(IthMixedSpec(pair1, pair2, i=float(i), n=grid.dimension))
-        for i in i_values
-    ]
+    return _ith_mixed_grid(pair1, pair2, [float(i) for i in i_values], grid.dimension)[0]

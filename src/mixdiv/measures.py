@@ -23,6 +23,7 @@ an infinite term gives an infinite integral.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,6 +61,14 @@ def _frozen_array(values: Sequence[float]) -> np.ndarray:
         raise MixdivError(f"per-atom data must be numbers: {exc}") from None
     if arr.ndim != 1:
         raise MixdivError("per-atom data must be one-dimensional")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        # numpy reads numeric strings and booleans as numbers; one check per
+        # element type, so float arrays, the bulk input, pay nothing
+        wrong = {kind for kind in set(map(type, values))
+                 if issubclass(kind, (bool, np.bool_)) or not issubclass(kind, numbers.Real)}
+        if wrong:
+            bad = next(v for v in values if type(v) in wrong)
+            raise MixdivError(f"per-atom data must be numbers: got {bad!r}")
     arr.setflags(write=False)
     return arr
 

@@ -274,6 +274,20 @@ BAD_DOCUMENTS = {
     },
     "@string_list_density": {"mu": [1.0, 1.0], "pairs": [{"p": ["a", "b"], "q": [0.5, 0.5]}]},
     "@string_density": {"mu": [1.0, 1.0], "pairs": [{"p": "ab", "q": [0.5, 0.5]}]},
+    "@numeric_string_density": {
+        "mu": [1.0, 1.0], "pairs": [{"p": ["0.5", True], "q": [0.5, 0.5]}],
+    },
+    "@bool_density": {"mu": [1.0, 1.0], "pairs": [{"p": [1.0, True], "q": [0.5, 0.5]}]},
+    "@numeric_string_mu": {"mu": ["1", "1"], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}]},
+    "@string_density_row": {
+        "mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}],
+        "densities": [["0.5", "ab"], [0.5, 0.5]],
+    },
+    # f(p/q) = 1e200 is finite but f(p/q) * q = 1e350 is not
+    "@overflowing_factor": {
+        "mu": [1e-100, 1.0],
+        "pairs": [{"p": [1e250, 1.0], "q": [1e150, 1.0]}] * 2,
+    },
 }
 
 
@@ -293,6 +307,17 @@ BAD_DOCUMENTS = {
     ["compute", "--f", '{"kind":"tv"}', "--input", "@string_list_density"],
     ["compute", "--f", '{"kind":"tv"}', "--input", "@string_density"],
     ["compute", "--f", '{"kind":"power","alpha":1e308}'],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@numeric_string_density"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@bool_density"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@numeric_string_mu"],
+    ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "1e-9",
+     "--input", "@numeric_string_density"],
+    ["dissimilarity", "--f", '{"kind":"matusita","arity":2}', "--input", "@string_density_row"],
+    ["compute", "--f", '{"kind":"power","alpha":2}', "--input", "@overflowing_factor"],
+    ["mixed", "--f", '{"kind":"power","alpha":2}', "--input", "@overflowing_factor"],
+    ["ith", "--f", '{"kind":"power","alpha":2}', "--i", "3", "--input", "@overflowing_factor"],
+    ["ith", "--i", "nan"],
+    ["ith", "--i", "inf"],
 ])
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,13 @@ from mixdiv import (
     toussaint_affinity,
     validate_density,
 )
+from mixdiv import divergence
 from mixdiv.divergence import weighted_product_integral
 from mixdiv.errors import (
     ArityMismatch,
     IndexOutOfRange,
+    LengthMismatch,
+    MixdivError,
     MixedArityZero,
     ReferenceNotProbability,
     RenyiAlphaOne,
@@ -350,9 +354,151 @@ def test_weighted_product_integral_zero_rules():
     space = make_space([1.0, 1.0])
     w_zero = np.array([0.0, 2.0])
     w_pos = np.array([3.0, 4.0])
-    assert weighted_product_integral(space, [w_zero], [0.0]) == 2.0  # 0**0 = 1
-    _rel_eq(weighted_product_integral(space, [w_zero, w_pos], [0.5, 0.5]), math.sqrt(8.0))
-    assert math.isinf(weighted_product_integral(space, [w_zero], [-1.0]))
+    w_ones = np.array([1.0, 1.0])
+    # (factors, exponents, expected integral over mu = (1, 1))
+    table = [
+        ([w_zero], [0.0], 2.0),  # 0**0 = 1
+        ([w_zero, w_pos], [0.0, 0.0], 2.0),  # no nonzero exponent: integral of 1
+        ([], [], 2.0),
+        ([w_zero, w_pos], [0.5, 0.5], math.sqrt(8.0)),  # 0**e = 0 for e > 0
+        ([w_zero], [-1.0], math.inf),  # 0**e = inf for e < 0
+        # zero-to-positive and zero-to-negative at one atom, in both orders: 0
+        ([w_zero, w_zero, w_ones], [0.5, -1.5, 1.0], 0.5),
+        ([w_zero, w_zero, w_ones], [-1.5, 0.5, 1.0], 0.5),
+    ]
+    for factors, exponents, want in table:
+        got = weighted_product_integral(space, factors, exponents)
+        assert got == pytest.approx(want, rel=1e-15), (exponents, got, want)
+    for factors, exponents, error in [
+        ([w_pos, np.ones(3)], [0.5, 0.5], LengthMismatch),
+        ([np.ones(3)], [0.0], LengthMismatch),
+        ([w_pos], [0.5, 0.5], ArityMismatch),
+        ([w_pos], [math.nan], IndexOutOfRange),
+        ([w_pos, w_pos], [math.inf, -math.inf], IndexOutOfRange),
+        ([w_pos, w_pos], [1e300, -1e300], IndexOutOfRange),
+    ]:
+        with pytest.raises(error):
+            weighted_product_integral(space, factors, exponents)
+
+
+def _term_spy(monkeypatch):
+    """Record the per-atom terms each divergence hands to ``integrate``."""
+    captured = []
+    real = divergence.integrate
+
+    def spy(space, values):
+        captured.append(np.array(values, dtype=float))
+        return real(space, values)
+
+    monkeypatch.setattr(divergence, "integrate", spy)
+    return captured
+
+
+def _power_instance(rng, atoms, alphas):
+    space = make_space(rng.uniform(0.25, 2.0, atoms))
+    triples = [
+        PairTriple(
+            make_generator("power", alpha=a),
+            validate_density(space, np.exp(rng.uniform(-3.0, 3.0, atoms))),
+            validate_density(space, np.exp(rng.uniform(-3.0, 3.0, atoms))),
+        )
+        for a in alphas
+    ]
+    return space, triples
+
+
+def _restrict(triples, atoms):
+    """The same triples on the sub-space of the given atoms, in that order."""
+    space = triples[0].space
+    sub = make_space(space.weights[atoms])
+    return [
+        PairTriple(t.generator, validate_density(sub, t.p.values[atoms]),
+                   validate_density(sub, t.q.values[atoms]))
+        for t in triples
+    ]
+
+
+_EVALUATIONS = {
+    "mixed": mixed_divergence,
+    "order_k": lambda triples: mixed_divergence_k(triples, 2),
+    "ith": lambda triples: ith_mixed(IthMixedSpec(triples[0], triples[1], i=0.7, n=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATIONS))
+def test_per_atom_terms_independent_of_batch_and_position(name, monkeypatch):
+    evaluate = _EVALUATIONS[name]
+    atoms = 200
+    rng = np.random.default_rng(20261018)
+    _, triples = _power_instance(rng, atoms, (-1.0, -0.5, 0.25, 0.5, 2.0, 3.0))
+    captured = _term_spy(monkeypatch)
+    evaluate(triples)
+    (batch,) = captured
+    singles = []
+    for j in range(atoms):
+        evaluate(_restrict(triples, [j]))
+        singles.append(captured[-1][0])
+    differ = np.flatnonzero(batch != np.array(singles))
+    assert differ.size == 0, f"{differ.size} of {atoms} terms depend on the batch"
+    perm = rng.permutation(atoms)
+    evaluate(_restrict(triples, perm))
+    assert np.array_equal(captured[-1], batch[perm])
+
+
+def _mp_power_factor(alpha, p, q):
+    return (mpmath.mpf(p) / mpmath.mpf(q)) ** mpmath.mpf(alpha) * mpmath.mpf(q)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_products_of_powers_match_mpmath(seed):
+    rng = np.random.default_rng(seed)
+    alphas = [float(a) for a in rng.choice([-1.0, -0.5, 0.25, 0.5, 0.75, 2.0, 3.0], 6)]
+    space, triples = _power_instance(rng, 64, alphas)
+    exponents = [float(e) for e in rng.uniform(-2.0, 2.0, 6)]
+    with mpmath.workprec(200):
+        mu = [mpmath.mpf(float(m)) for m in space.weights]
+        direct = [[_mp_power_factor(a, p, q) for p, q in zip(t.p.values, t.q.values)]
+                  for a, t in zip(alphas, triples)]
+        mixed_want = mpmath.fsum(
+            m * mpmath.fprod(col) ** (mpmath.mpf(1) / 6) for m, col in zip(mu, zip(*direct))
+        )
+        # the combination alone, on the engine's own double factors
+        factors = [divergence.integrand_factor(t) for t in triples]
+        exact = [[mpmath.mpf(float(v)) for v in f] for f in factors]
+        wpi_want = mpmath.fsum(
+            m * mpmath.fprod(w ** mpmath.mpf(e) for w, e in zip(col, exponents))
+            for m, col in zip(mu, zip(*exact))
+        )
+        for got, want in [
+            (mixed_divergence(triples), mixed_want),
+            (mixed_divergence_k(triples, 3), mixed_want),
+            (weighted_product_integral(space, factors, exponents), wpi_want),
+        ]:
+            assert abs(mpmath.mpf(got) / want - 1) <= 1e-13, (got, want)
+
+
+def _overflow_triple():
+    # f(p/q) = 1e200 is finite, but f(p/q) * q = 1e350 is not; the true
+    # divergence is about 1e250 (the second atom contributes 1)
+    space = make_space([1e-100, 1.0])
+    p = validate_density(space, [1e250, 1.0])
+    q = validate_density(space, [1e150, 1.0])
+    return PairTriple(make_generator("power", alpha=2.0), p, q)
+
+
+def test_overflowing_integrand_factor_is_typed():
+    t = _overflow_triple()
+    cases = [
+        lambda: divergence.integrand_factor(t),
+        lambda: divergence.adjoint_factor(t),
+        lambda: f_divergence(t.generator, t.p, t.q),
+        lambda: mixed_divergence([t, t]),
+        lambda: mixed_divergence_k([t, t], 0),
+        lambda: ith_mixed(IthMixedSpec(t, t, i=3.0, n=2)),
+    ]
+    for case in cases:
+        with pytest.raises(MixdivError, match="not finite at atom 0"):
+            case()
 
 
 # --- reference-measure variant ------------------------------------------------------------

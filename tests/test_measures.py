@@ -251,7 +251,11 @@ def test_summation_overflow_is_typed(n):
     assert integrate(space, terms) == math.inf
 
 
-@pytest.mark.parametrize("values", [["a", "b"], "ab", [1.0, {"x": 1}]])
+@pytest.mark.parametrize("values", [
+    ["a", "b"], "ab", [1.0, {"x": 1}],
+    # numpy would read these as numbers
+    ["1", "1"], ["0.5", True], [1.0, True], np.array([True, True]), np.array(["1", "2"]),
+])
 def test_non_numeric_per_atom_data_is_typed(values):
     with pytest.raises(MixdivError, match="per-atom data must be numbers"):
         make_space(values)
