@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,21 +353,26 @@ def test_weighted_product_integral_zero_rules():
     space = make_space([1.0, 1.0])
     w_zero = np.array([0.0, 2.0])
     w_pos = np.array([3.0, 4.0])
-    w_ones = np.array([1.0, 1.0])
-    # (factors, exponents, expected integral over mu = (1, 1))
+    w_zero_one = np.array([0.0, 1.0])
+    # (factors, exponents, expected integral over mu = (1, 1), relative
+    # tolerance); a tolerance of 0 asks for the exact value
     table = [
-        ([w_zero], [0.0], 2.0),  # 0**0 = 1
-        ([w_zero, w_pos], [0.0, 0.0], 2.0),  # no nonzero exponent: integral of 1
-        ([], [], 2.0),
-        ([w_zero, w_pos], [0.5, 0.5], math.sqrt(8.0)),  # 0**e = 0 for e > 0
-        ([w_zero], [-1.0], math.inf),  # 0**e = inf for e < 0
-        # zero-to-positive and zero-to-negative at one atom, in both orders: 0
-        ([w_zero, w_zero, w_ones], [0.5, -1.5, 1.0], 0.5),
-        ([w_zero, w_zero, w_ones], [-1.5, 0.5, 1.0], 0.5),
+        ([w_zero], [0.0], 2.0, 0.0),  # 0**0 = 1
+        ([w_zero, w_pos], [0.0, 0.0], 2.0, 0.0),  # no nonzero exponent: integral of 1
+        ([], [], 2.0, 0.0),
+        ([w_zero, w_pos], [0.5, 0.5], math.sqrt(8.0), REL),  # 0**e = 0 for e > 0
+        ([w_zero], [-1.0], math.inf, 0.0),  # 0**e = inf for e < 0
+        # zero-to-positive and zero-to-negative at one atom, in both orders:
+        # that atom gives 0, the other gives 1**0.5 * 1**-1.5 = 1
+        ([w_zero_one, w_zero_one], [0.5, -1.5], 1.0, 0.0),
+        ([w_zero_one, w_zero_one], [-1.5, 0.5], 1.0, 0.0),
     ]
-    for factors, exponents, want in table:
+    for factors, exponents, want, rel in table:
         got = weighted_product_integral(space, factors, exponents)
-        assert got == pytest.approx(want, rel=1e-15), (exponents, got, want)
+        if rel == 0.0:
+            assert got == want, (exponents, got, want)
+        else:
+            _rel_eq(got, want, rel=rel)
     for factors, exponents, error in [
         ([w_pos, np.ones(3)], [0.5, 0.5], LengthMismatch),
         ([np.ones(3)], [0.0], LengthMismatch),
@@ -445,19 +449,21 @@ def test_per_atom_terms_independent_of_batch_and_position(name, monkeypatch):
     assert np.array_equal(captured[-1], batch[perm])
 
 
-def _mp_power_factor(alpha, p, q):
-    return (mpmath.mpf(p) / mpmath.mpf(q)) ** mpmath.mpf(alpha) * mpmath.mpf(q)
-
-
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_products_of_powers_match_mpmath(seed):
+    # imported here so the rest of the module is collected without it
+    import mpmath
+
+    def power_factor(alpha, p, q):
+        return (mpmath.mpf(p) / mpmath.mpf(q)) ** mpmath.mpf(alpha) * mpmath.mpf(q)
+
     rng = np.random.default_rng(seed)
     alphas = [float(a) for a in rng.choice([-1.0, -0.5, 0.25, 0.5, 0.75, 2.0, 3.0], 6)]
     space, triples = _power_instance(rng, 64, alphas)
     exponents = [float(e) for e in rng.uniform(-2.0, 2.0, 6)]
     with mpmath.workprec(200):
         mu = [mpmath.mpf(float(m)) for m in space.weights]
-        direct = [[_mp_power_factor(a, p, q) for p, q in zip(t.p.values, t.q.values)]
+        direct = [[power_factor(a, p, q) for p, q in zip(t.p.values, t.q.values)]
                   for a, t in zip(alphas, triples)]
         mixed_want = mpmath.fsum(
             m * mpmath.fprod(col) ** (mpmath.mpf(1) / 6) for m, col in zip(mu, zip(*direct))
