@@ -32,7 +32,6 @@ from .divergence import (
     PairTriple,
     _ith_mixed_grid,
     f_divergence,
-    integrand_factor,
     ith_mixed,
     ith_mixed_reference,
     mixed_divergence,
@@ -284,7 +283,7 @@ def check_alexandrov_fenchel(
     lhs = base**m
     rhs = math.prod(substituted)
 
-    factors = [integrand_factor(t) for t in triples]
+    factors = [t.integrand_factor for t in triples]
     g0 = np.ones(triples[0].space.n_atoms)
     for w in factors[: n - m]:
         g0 = g0 * w ** (1.0 / n)
@@ -412,14 +411,16 @@ def check_interpolation(
     for role, g in (("f1", pair1.generator), ("f2", pair2.generator)):
         _require_shape(g, "positive", role)
 
-    (d_i, d_j, d_k), w1, w2 = _ith_mixed_grid(pair1, pair2, [i, j, k], n)
+    d_i, d_j, d_k = _ith_mixed_grid(pair1, pair2, [i, j, k], n)
     lhs = d_i
     rhs = d_j ** ((k - i) / (k - j)) * d_k ** ((i - j) / (k - j))
 
     if i == j or i == k:
         expected, spread = True, 0.0
     else:
-        verdict = effectively_proportional(w1, w2, tolerances.prop)
+        verdict = effectively_proportional(
+            pair1.integrand_factor, pair2.integrand_factor, tolerances.prop
+        )
         expected, spread = verdict.proportional, verdict.ratio_spread
 
     detail = {
@@ -839,6 +840,8 @@ _FAMILIES = (
 
 def _family_counts(instances: int) -> dict[str, int]:
     """AuditConfig count fields for ``mixdiv audit --instances <instances>``."""
+    if instances < 1:
+        raise IndexOutOfRange(f"--instances {instances} must be at least 1")
     return {count_field: count(instances) for count_field, _, count in _FAMILIES}
 
 

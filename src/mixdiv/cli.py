@@ -187,7 +187,10 @@ def load_document(
     warnings: list[str] = []
     pairs: list[tuple[Density, Density]] = []
     echo_pairs = []
-    for idx, pair in enumerate(doc.get("pairs", [])):
+    doc_pairs = doc.get("pairs", [])
+    if not isinstance(doc_pairs, list) or not all(isinstance(p, dict) for p in doc_pairs):
+        raise ParseError(f"{path}: 'pairs' must be a list of objects")
+    for idx, pair in enumerate(doc_pairs):
         if "p" not in pair or "q" not in pair:
             raise ParseError(f"{path}: pair {idx} needs both 'p' and 'q'")
         p_vals, q_vals = pair["p"], pair["q"]
@@ -203,13 +206,15 @@ def load_document(
         echo_pairs.append(echo_pair)
     echo = {"mu": [float(w) for w in space.weights], "pairs": echo_pairs}
     if "densities" in doc:
-        echo["densities"] = [_frozen_array(row).tolist() for row in doc["densities"]]
+        rows = doc["densities"]
+        if not isinstance(rows, list):
+            raise ParseError(f"{path}: 'densities' must be a list of rows")
+        echo["densities"] = [_frozen_array(row).tolist() for row in rows]
     return space, pairs, warnings, echo
 
 
-def _pair_generators(spec: JobSpec, echo: dict, n_pairs: int) -> list[Generator]:
-    """Generators for each pair: --f flags win, embedded specs otherwise."""
-    specs = list(spec.generator_specs)
+def _pair_generators(specs: list, echo: dict, n_pairs: int) -> list[Generator]:
+    """Generators for each pair: the given (--f) specs win, embedded specs otherwise."""
     if not specs:
         specs = [p["f"] for p in echo["pairs"] if "f" in p]
         if len(specs) != n_pairs:
@@ -268,7 +273,7 @@ def _read_document(spec: JobSpec, report: dict) -> tuple[MeasureSpace, list, dic
 
 def _run_compute(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     _, pairs, echo = _read_document(spec, report)
-    gens = _pair_generators(spec, echo, len(pairs))
+    gens = _pair_generators(spec.generator_specs, echo, len(pairs))
     values = [f_divergence(g, p, q) for g, (p, q) in zip(gens, pairs)]
     report["values"] = {
         "generators": [g.label for g in gens],
@@ -279,7 +284,7 @@ def _run_compute(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 
 def _run_mixed(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     _, pairs, echo = _read_document(spec, report)
-    gens = _pair_generators(spec, echo, len(pairs))
+    gens = _pair_generators(spec.generator_specs, echo, len(pairs))
     triples = [PairTriple(g, p, q) for g, (p, q) in zip(gens, pairs)]
     value = mixed_divergence(triples)
     row = [mixed_divergence_k(triples, k) for k in range(len(triples) + 1)]
@@ -310,14 +315,15 @@ def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     _, pairs, echo = _read_document(spec, report)
     if len(pairs) < 2:
         raise MixdivError("the ith command needs at least two pairs")
-    if spec.alpha is not None and not spec.generator_specs:
-        spec.generator_specs = [{"kind": "power", "alpha": spec.alpha}]
-    gens = _pair_generators(spec, echo, len(pairs))[:2]
+    specs = spec.generator_specs
+    if spec.alpha is not None and not specs:
+        specs = [{"kind": "power", "alpha": spec.alpha}]
+    gens = _pair_generators(specs, echo, len(pairs))[:2]
     n = spec.n if spec.n is not None else 2
     grid = [float(v) for v in spec.i_values] or [float(v) for v in range(n + 1)]
     triple1 = PairTriple(gens[0], *pairs[0])
     triple2 = PairTriple(gens[1], *pairs[1])
-    values = _ith_mixed_grid(triple1, triple2, grid, n)[0]
+    values = _ith_mixed_grid(triple1, triple2, grid, n)
     report["values"] = {
         "generators": [g.label for g in gens],
         "n": n,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +67,11 @@ PairOfDensities = tuple[Density, Density]
 
 @dataclass(frozen=True, eq=False)
 class PairTriple:
-    """One coordinate (f_i, P_i, Q_i) of a divergence vector."""
+    """One coordinate (f_i, P_i, Q_i) of a divergence vector.
+
+    Its two factor arrays are evaluated on first use and then shared,
+    read-only, by every functional that reads the triple, for as long as
+    the triple lives."""
 
     generator: Generator
     p: Density
@@ -78,6 +83,16 @@ class PairTriple:
     @property
     def space(self) -> MeasureSpace:
         return self.p.space
+
+    @cached_property
+    def integrand_factor(self) -> np.ndarray:
+        """Per-atom values of f(p/q) * q; see :func:`integrand_factor`."""
+        return _factor(self.generator, self.p, self.q)
+
+    @cached_property
+    def adjoint_factor(self) -> np.ndarray:
+        """Per-atom values of f*(q/p) * p; see :func:`adjoint_factor`."""
+        return _factor(adjoint(self.generator), self.q, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,27 +125,31 @@ def _check_base(n: int) -> None:
 
 
 def _factor(g: Generator, num: Density, den: Density) -> np.ndarray:
-    """Per-atom values of g(num/den) * den; a value that is not finite raises."""
+    """Read-only per-atom values of g(num/den) * den; a value that is not
+    finite raises."""
     out = g.eval_array(num.values / den.values)
     out *= den.values
     if not np.isfinite(out).all():
         atom = num.space.atom_ids[int(np.flatnonzero(~np.isfinite(out))[0])]
         raise MixdivError(f"integrand factor of {g.label} is not finite at atom {atom!r}")
+    out.setflags(write=False)
     return out
 
 
 def integrand_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of f(p/q) * q for one triple.
+    """Per-atom values of f(p/q) * q for one triple, evaluated once per
+    triple and returned as the same read-only array on every call.
 
     Raises MixdivError, naming the atom, when a value is not finite."""
-    return _factor(triple.generator, triple.p, triple.q)
+    return triple.integrand_factor
 
 
 def adjoint_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of the identical quantity in adjoint form f*(q/p) * p.
+    """Per-atom values of the identical quantity in adjoint form f*(q/p) * p,
+    evaluated separately from :func:`integrand_factor`, once per triple.
 
     Raises MixdivError, naming the atom, when a value is not finite."""
-    return _factor(adjoint(triple.generator), triple.q, triple.p)
+    return triple.adjoint_factor
 
 
 def weighted_product_integral(
@@ -208,8 +227,7 @@ def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
         raise IndexOutOfRange(f"k={k} outside [0, {n}]")
     space = same_space(*(t.p for t in triples))
     factors = [
-        integrand_factor(t) if idx < k else adjoint_factor(t)
-        for idx, t in enumerate(triples)
+        t.integrand_factor if idx < k else t.adjoint_factor for idx, t in enumerate(triples)
     ]
     return weighted_product_integral(space, factors, [1.0 / n] * n)
 
@@ -221,23 +239,17 @@ def ith_mixed(spec: IthMixedSpec) -> float:
     (i = 0 gives pair2, i = n gives pair1), and the index satisfies the
     duality D((f1,f2), (P1,P2), (Q1,Q2); i) = D((f2,f1), (P2,Q2), (P1,Q1); n-i).
     """
-    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0][0]
+    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0]
 
 
 def _ith_mixed_grid(
     pair1: PairTriple, pair2: PairTriple, indices: Sequence[float], n: int
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """:func:`ith_mixed` at each index, with both integrand factors computed
-    once; returns the values and the factors w1, w2, for callers that reuse
-    them."""
+) -> list[float]:
+    """:func:`ith_mixed` at each index."""
     _check_base(n)
     space = same_space(pair1.p, pair2.p)
-    w1, w2 = integrand_factor(pair1), integrand_factor(pair2)
-    values = []
-    for i in indices:
-        e1 = i / n
-        values.append(weighted_product_integral(space, [w1, w2], [e1, 1.0 - e1]))
-    return values, w1, w2
+    w1, w2 = pair1.integrand_factor, pair2.integrand_factor
+    return [weighted_product_integral(space, [w1, w2], [i / n, 1.0 - i / n]) for i in indices]
 
 
 def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> float:
@@ -252,9 +264,8 @@ def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> f
         raise ReferenceNotProbability(
             f"base measure has mass {space.total_mass!r}; the reference variant needs mass 1"
         )
-    w1 = integrand_factor(pair1)
     e1 = i / n
-    body = weighted_product_integral(space, [w1], [e1])
+    body = weighted_product_integral(space, [pair1.integrand_factor], [e1])
     return f2(1.0) ** (1.0 - e1) * body
 
 

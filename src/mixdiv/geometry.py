@@ -204,4 +204,4 @@ def _ith_mixed_areas(
         raise DimensionMismatch(f"need exactly 2 generators, got {len(generators)}")
     pair1 = PairTriple(generators[0], *body_densities(body1, grid))
     pair2 = PairTriple(generators[1], *body_densities(body2, grid))
-    return _ith_mixed_grid(pair1, pair2, [float(i) for i in i_values], grid.dimension)[0]
+    return _ith_mixed_grid(pair1, pair2, [float(i) for i in i_values], grid.dimension)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from collections import Counter
@@ -123,6 +124,18 @@ def test_ith_alpha_shortcut(fixture_path, tmp_path):
     values = json.loads(out.read_text())["values"]
     assert values["generators"] == ["power(0.5)", "power(0.5)"]
     assert abs(values["ith_mixed"][0] - MIXED_SQRT_VALUE) <= 1e-12
+
+
+def test_same_job_spec_twice_gives_identical_reports(fixture_path, tmp_path):
+    out = tmp_path / "ith.json"
+    spec = JobSpec(command="ith", input_path=fixture_path, output_path=str(out), alpha=0.5)
+    before = copy.deepcopy(spec)
+    assert run_job(spec) == 0
+    first = out.read_bytes()
+    assert run_job(spec) == 0
+    assert out.read_bytes() == first
+    assert spec == before
+    assert json.loads(first)["inputs"]["options"]["generator_specs"] == []
 
 
 def test_report_echo_round_trip(fixture_path, tmp_path):
@@ -283,6 +296,11 @@ BAD_DOCUMENTS = {
         "mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}],
         "densities": [["0.5", "ab"], [0.5, 0.5]],
     },
+    "@pairs_not_list": {"mu": [1.0, 1.0], "pairs": 5},
+    "@pairs_not_objects": {"mu": [1.0, 1.0], "pairs": [5]},
+    "@densities_not_list": {
+        "mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}], "densities": 5,
+    },
     # f(p/q) = 1e200 is finite but f(p/q) * q = 1e350 is not
     "@overflowing_factor": {
         "mu": [1e-100, 1.0],
@@ -318,6 +336,11 @@ BAD_DOCUMENTS = {
     ["ith", "--f", '{"kind":"power","alpha":2}', "--i", "3", "--input", "@overflowing_factor"],
     ["ith", "--i", "nan"],
     ["ith", "--i", "inf"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@pairs_not_list"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@pairs_not_objects"],
+    ["dissimilarity", "--f", '{"kind":"matusita","arity":2}', "--input", "@densities_not_list"],
+    ["audit", "--instances", "0"],
+    ["audit", "--instances", "-1"],
 ])
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixdiv import (
+    Generator,
     IthMixedSpec,
     PairTriple,
     adjoint,
+    check_alexandrov_fenchel,
     f_dissimilarity,
     f_divergence,
     integrate,
@@ -208,6 +210,62 @@ def test_order_change_invariance(seed):
     base = mixed_divergence(triples)
     for k in range(len(triples) + 1):
         _rel_eq(mixed_divergence_k(triples, k), base)
+
+
+# --- factors shared per triple ------------------------------------------------------
+
+def _convex_probability_triples(seed):
+    """Freshly built triples: four convex power generators on 32 atoms."""
+    rng = np.random.default_rng(seed)
+    space = make_space(rng.uniform(0.25, 2.0, 32))
+
+    def dens():
+        raw = np.exp(rng.uniform(-2.0, 2.0, 32))
+        return validate_density(space, raw / integrate(space, raw), require_prob=True)
+
+    return [PairTriple(make_generator("power", alpha=a), dens(), dens())
+            for a in (2.0, 3.0, -0.5, 1.5)]
+
+
+def test_order_change_row_evaluates_each_factor_once(monkeypatch):
+    passes = []
+    eval_array = Generator.eval_array
+
+    def counted(self, t):
+        passes.append(self.label)
+        return eval_array(self, t)
+
+    monkeypatch.setattr(Generator, "eval_array", counted)
+    triples = _convex_probability_triples(0)
+    n = len(triples)
+    for k in range(n + 1):
+        mixed_divergence_k(triples, k)
+    assert len(passes) == 2 * n  # one integrand and one adjoint pass per triple
+
+
+def test_factors_are_shared_read_only_arrays():
+    t = _convex_probability_triples(1)[0]
+    for factor in (divergence.integrand_factor, divergence.adjoint_factor):
+        w = factor(t)
+        assert factor(t) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def test_reused_triples_match_fresh_triples_bit_for_bit():
+    reused = _convex_probability_triples(2)
+    n = len(reused)
+    for _ in range(2):  # the second round reads only factors cached by the first
+        for k in range(n + 1):
+            assert mixed_divergence_k(reused, k) == mixed_divergence_k(
+                _convex_probability_triples(2), k)
+        for i in (-0.5, 0.0, 1.0, 2.5):
+            fresh = _convex_probability_triples(2)
+            assert ith_mixed(IthMixedSpec(reused[0], reused[1], i=i, n=n)) == ith_mixed(
+                IthMixedSpec(fresh[0], fresh[1], i=i, n=n))
+        for m in range(1, n + 1):
+            assert check_alexandrov_fenchel(reused, m) == check_alexandrov_fenchel(
+                _convex_probability_triples(2), m)
 
 
 # --- permutation / symmetry / rescaling properties -------------------------------------
