@@ -558,6 +558,10 @@ def check_corollary(
 
 # --- randomized suite --------------------------------------------------------------
 
+#: every random instance has MIN_ATOMS..MAX_ATOMS atoms and 1..MAX_PAIRS pairs
+MIN_ATOMS, MAX_ATOMS, MAX_PAIRS = 2, 64, 6
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Instance counts and parameters for :func:`audit_suite`.
@@ -575,14 +579,11 @@ class AuditConfig:
     interpolation: int = 0
     corollaries: int = 0
     equality_families: int = 0
-    min_atoms: int = 2
-    max_atoms: int = 64
-    max_pairs: int = 6
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
 
-def _rand_space(rng, config: AuditConfig, probability: bool = False) -> MeasureSpace:
-    n_atoms = int(rng.integers(config.min_atoms, config.max_atoms + 1))
+def _rand_space(rng, probability: bool = False) -> MeasureSpace:
+    n_atoms = int(rng.integers(MIN_ATOMS, MAX_ATOMS + 1))
     w = rng.uniform(0.25, 2.0, n_atoms)
     if probability:
         w = w / w.sum()
@@ -646,14 +647,14 @@ def _rand_triple(rng, space: MeasureSpace, pool: str) -> PairTriple:
     )
 
 
-def _rand_triples(rng, config: AuditConfig, pool: str) -> list[PairTriple]:
-    space = _rand_space(rng, config)
-    n = int(rng.integers(1, config.max_pairs + 1))
+def _rand_triples(rng, pool: str) -> list[PairTriple]:
+    space = _rand_space(rng)
+    n = int(rng.integers(1, MAX_PAIRS + 1))
     return [_rand_triple(rng, space, pool) for _ in range(n)]
 
 
 def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
-    triples = _rand_triples(rng, config, "any")
+    triples = _rand_triples(rng, "any")
     n = len(triples)
     space = triples[0].space
     row = [mixed_divergence_k(triples, k) for k in range(n + 1)]
@@ -690,7 +691,7 @@ def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
 
 
 def _af_instance(pool: str, rng, config: AuditConfig, idx: int) -> list[AuditReport]:
-    triples = _rand_triples(rng, config, pool)
+    triples = _rand_triples(rng, pool)
     return [
         _tagged(check_alexandrov_fenchel(triples, m, config.tolerances), instance=idx)
         for m in range(1, len(triples) + 1)
@@ -698,19 +699,19 @@ def _af_instance(pool: str, rng, config: AuditConfig, idx: int) -> list[AuditRep
 
 
 def _concave_chain_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
-    triples = _rand_triples(rng, config, "concave")
+    triples = _rand_triples(rng, "concave")
     return [_tagged(check_concave_upper(triples, config.tolerances), instance=idx)]
 
 
 def _jensen_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
-    t = _rand_triple(rng, _rand_space(rng, config), "any")
+    t = _rand_triple(rng, _rand_space(rng), "any")
     return [_tagged(check_jensen_bound(t.generator, t.p, t.q, config.tolerances), instance=idx)]
 
 
 def _interpolation_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     tol = config.tolerances
-    space = _rand_space(rng, config)
-    n = int(rng.integers(1, config.max_pairs + 1))
+    space = _rand_space(rng)
+    n = int(rng.integers(1, MAX_PAIRS + 1))
     pair1 = _rand_triple(rng, space, "positive")
     pair2 = _rand_triple(rng, space, "positive")
     j = float(rng.uniform(-3.0, n - 0.25))
@@ -734,8 +735,8 @@ def _interpolation_instance(rng, config: AuditConfig, idx: int) -> list[AuditRep
 
 def _corollary_instance(case: str, rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     row = _CASE_TABLE[case]
-    space = _rand_space(rng, config, probability=row.reference)
-    n = int(rng.integers(1, config.max_pairs + 1))
+    space = _rand_space(rng, probability=row.reference)
+    n = int(rng.integers(1, MAX_PAIRS + 1))
     pair1 = _rand_triple(rng, space, row.pool1)
     _, draw_range = _INDEX_RULES[row.index_rule](n)
     index = float(rng.uniform(*draw_range))
@@ -754,7 +755,7 @@ def _corollary_at_equality(case: str, rng, config: AuditConfig, n: int, p: Densi
     row = _CASE_TABLE[case]
     _, draw_range = _INDEX_RULES[row.index_rule](n)
     if row.reference:
-        prob_space = _rand_space(rng, config, probability=True)
+        prob_space = _rand_space(rng, probability=True)
         unit = validate_density(prob_space, np.ones(prob_space.n_atoms), require_prob=True)
         pair1 = PairTriple(_rand_generator(rng, "strict_concave"), unit, unit)
         index = float(rng.uniform(*draw_range))
@@ -773,8 +774,8 @@ def _equality_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     def add(family: str, rep: AuditReport) -> None:
         out.append(_tagged(rep, instance=idx, family=family))
 
-    space = _rand_space(rng, config)
-    n = int(rng.integers(1, config.max_pairs + 1))
+    space = _rand_space(rng)
+    n = int(rng.integers(1, MAX_PAIRS + 1))
     p = _rand_prob_density(rng, space)
     q = _rand_prob_density(rng, space)
 

@@ -11,7 +11,9 @@ Input documents are JSON ``{"mu": [...], "pairs": [{"p": [...], "q": [...],
 are single JSON documents echoing the effective inputs; identical job specs
 (including seeds) produce byte-identical reports.
 
-Exit codes: 0 success, 1 I/O or validation error, 2 audit violations found.
+Each subcommand accepts exactly the options of :class:`JobSpec` that name it.
+Exit codes: 0 success, 1 usage, I/O or validation error, 2 audit violations
+found.
 """
 
 from __future__ import annotations
@@ -64,37 +66,64 @@ from .measures import (
 )
 
 
-#: metadata of the job options that the report does not echo under ``inputs.options``
-_UNECHOED = {"echo": False}
+def _json_flag(value: str) -> dict:
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON {value!r}: {exc.msg}") from exc
+
+
+def _option(flag: str, commands: str, *, echo: bool = True, default=None, **argument):
+    """A :class:`JobSpec` field that the space-separated ``commands`` read from
+    ``flag``, with its argparse keywords. An ``append`` option defaults to the
+    empty list; ``echo=False`` keeps it out of the report's options echo."""
+    meta = {"flag": flag, "commands": commands.split(), "echo": echo, "argument": argument}
+    if argument.get("action") == "append":
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class JobSpec:
     """Everything one invocation needs; built by ``main`` from CLI flags.
 
-    The fields are the one list of job options: each flag's argparse
-    ``dest`` is a field name, and the report's options echo is every field
-    not marked unechoed, in field order.
+    The fields after ``command`` are the one table of job options: each
+    declares its flag, the commands that read it, its default and its
+    argparse keywords. A subcommand accepts exactly the options that name
+    it, and its report echoes, in field order, those of them that echo.
     """
 
-    command: str = field(metadata=_UNECHOED)
-    input_path: Optional[str] = field(default=None, metadata=_UNECHOED)
-    output_path: Optional[str] = field(default=None, metadata=_UNECHOED)
-    generator_specs: list = field(default_factory=list)
-    alpha: Optional[float] = None
-    i_values: list = field(default_factory=list)
-    k: Optional[int] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    seed: int = 0
-    instances: int = 1000
-    tol_ineq: Optional[float] = field(default=None, metadata=_UNECHOED)
-    tol_eq: Optional[float] = field(default=None, metadata=_UNECHOED)
-    tol_prop: Optional[float] = field(default=None, metadata=_UNECHOED)
-    epsilon_floor: Optional[float] = None
-    bodies: list = field(default_factory=list)
-    dimension: Optional[int] = None
-    resolution: Optional[int] = None
+    command: str
+    input_path: Optional[str] = _option(
+        "--input", "compute mixed ith dissimilarity geometry", echo=False, metavar="INPUT",
+        help="JSON or CSV input document (geometry: one with 'bodies')")
+    output_path: Optional[str] = _option(
+        "--output", "compute mixed ith dissimilarity audit geometry", echo=False,
+        metavar="OUTPUT", help="report path (stdout when omitted)")
+    generator_specs: list = _option(
+        "--f", "compute mixed ith dissimilarity geometry", action="append", type=_json_flag,
+        metavar="FSPECS", help='generator spec, e.g. {"kind":"power","alpha":0.5}; repeatable')
+    alpha: Optional[float] = _option(
+        "--alpha", "mixed ith", type=float, help="mixed: also report the mixed Renyi "
+        "divergence of this order; ith: power generators of this exponent when --f is absent")
+    i_values: list = _option("--i", "ith geometry", action="append", type=float, metavar="I",
+                             help="interpolation index i; repeatable")
+    m: Optional[int] = _option("--m", "mixed", type=int,
+                               help="also audit the order-m substitution inequality")
+    n: Optional[int] = _option("--n", "ith", type=int, help="ambient exponent base")
+    seed: int = _option("--seed", "audit", default=0, type=int)
+    instances: int = _option("--instances", "audit", default=1000, type=int,
+                             help="instances per check family")
+    tol_ineq: Optional[float] = _option("--tol-ineq", "mixed audit", echo=False, type=float)
+    tol_eq: Optional[float] = _option("--tol-eq", "mixed audit", echo=False, type=float)
+    tol_prop: Optional[float] = _option("--tol-prop", "mixed audit", echo=False, type=float)
+    epsilon_floor: Optional[float] = _option(
+        "--epsilon-floor", "compute mixed ith dissimilarity", type=float,
+        help="replace zero densities by this value, then renormalize")
+    bodies: list = _option("--body", "geometry", action="append", type=_json_flag, metavar="BODY",
+                           help='body spec, e.g. {"semi_axes":[1,2,3]}; repeatable')
+    resolution: Optional[int] = _option("--resolution", "geometry", type=int,
+                                        help="polar nodes of the sphere grid")
 
 
 def _parse_document(path: str) -> dict:
@@ -163,19 +192,6 @@ def _certify(space: MeasureSpace, values, label: str, warnings: list) -> Density
     return raw
 
 
-def load_input(
-    path: str, epsilon_floor: Optional[float] = None
-) -> tuple[MeasureSpace, list[tuple[Density, Density]]]:
-    """Load a JSON or CSV document into a space and (p, q) density pairs.
-
-    Probability certification is attempted per density and silently falls
-    back to raw densities; use :func:`load_document` for the warning list
-    and any embedded generator specs.
-    """
-    space, pairs, _, _ = load_document(path, epsilon_floor)
-    return space, pairs
-
-
 def load_document(
     path: str, epsilon_floor: Optional[float] = None
 ) -> tuple[MeasureSpace, list[tuple[Density, Density]], list, dict]:
@@ -234,8 +250,11 @@ def _tolerances(spec: JobSpec) -> Tolerances:
 
 
 def _options_echo(spec: JobSpec) -> dict:
-    echo = {f.name: getattr(spec, f.name) for f in fields(JobSpec) if f.metadata.get("echo", True)}
-    echo["i_values"] = [float(v) for v in spec.i_values]
+    """The echoed options that the job's command reads, in field order."""
+    echo = {f.name: getattr(spec, f.name) for f in fields(JobSpec)
+            if f.metadata.get("echo") and spec.command in f.metadata["commands"]}
+    if "i_values" in echo:
+        echo["i_values"] = [float(v) for v in spec.i_values]
     return echo
 
 
@@ -255,16 +274,23 @@ def run_job(spec: JobSpec) -> int:
         report["tolerances"] = {**tolerances_to_dict(tol), "eps_norm": EPS_NORM}
         exit_code = _COMMANDS[spec.command](spec, tol, report)
     except MixdivError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _write_report(spec, report)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_report(spec, report)
+        return _fail(report, exc, spec.output_path)
+    _write_report(report, spec.output_path)
     return exit_code
+
+
+def _fail(report: dict, exc: MixdivError, output_path: Optional[str]) -> int:
+    """Write ``report`` with ``exc`` as its error block; returns exit code 1."""
+    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    _write_report(report, output_path)
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _read_document(spec: JobSpec, report: dict) -> tuple[MeasureSpace, list, dict]:
     """Load the job's input document and echo it, with its warnings, into the report."""
+    if spec.input_path is None:
+        raise ParseError(f"{spec.command} needs --input")
     space, pairs, warnings, echo = load_document(spec.input_path, spec.epsilon_floor)
     report["inputs"]["document"] = echo
     report["warnings"] = warnings
@@ -272,6 +298,7 @@ def _read_document(spec: JobSpec, report: dict) -> tuple[MeasureSpace, list, dic
 
 
 def _run_compute(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """classical divergence per pair"""
     _, pairs, echo = _read_document(spec, report)
     gens = _pair_generators(spec.generator_specs, echo, len(pairs))
     values = [f_divergence(g, p, q) for g, (p, q) in zip(gens, pairs)]
@@ -283,6 +310,7 @@ def _run_compute(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 
 
 def _run_mixed(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """mixed divergence and its order-change row"""
     _, pairs, echo = _read_document(spec, report)
     gens = _pair_generators(spec.generator_specs, echo, len(pairs))
     triples = [PairTriple(g, p, q) for g, (p, q) in zip(gens, pairs)]
@@ -298,11 +326,6 @@ def _run_mixed(spec: JobSpec, tol: Tolerances, report: dict) -> int:
             "alpha": spec.alpha,
             "value": mixed_renyi(pairs, spec.alpha),
         }
-    if spec.k is not None:
-        report["values"]["order_change_k"] = {
-            "k": spec.k,
-            "value": mixed_divergence_k(triples, spec.k),
-        }
     if spec.m is not None:
         check = check_alexandrov_fenchel(triples, spec.m, tol)
         report["values"]["substitution_inequality"] = report_to_dict(check)
@@ -312,6 +335,7 @@ def _run_mixed(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 
 
 def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """two-pair interpolated divergence on an i grid"""
     _, pairs, echo = _read_document(spec, report)
     if len(pairs) < 2:
         raise MixdivError("the ith command needs at least two pairs")
@@ -334,6 +358,7 @@ def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 
 
 def _run_dissimilarity(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """multivariate integrand over densities"""
     space, pairs, echo = _read_document(spec, report)
     if not spec.generator_specs:
         raise MixdivError("dissimilarity needs one --f with a multivariate spec")
@@ -351,6 +376,7 @@ def _run_dissimilarity(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 
 
 def _run_audit(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """randomized inequality suite"""
     config = AuditConfig(seed=spec.seed, tolerances=tol, **_family_counts(spec.instances))
     reports = audit_suite(config)
     bad = violations(reports)
@@ -370,6 +396,7 @@ def _body_from_spec(spec) -> EllipsoidBody:
 
 
 def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
+    """ball/ellipsoid affine surface areas"""
     body_specs = list(spec.bodies)
     if not body_specs and spec.input_path:
         doc = _parse_document(spec.input_path)
@@ -379,7 +406,7 @@ def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     if not isinstance(body_specs, list):
         raise MixdivError(f"'bodies' must be a list of body specs, got {body_specs!r}")
     bodies = [_body_from_spec(b) for b in body_specs]
-    dim = spec.dimension if spec.dimension is not None else bodies[0].dimension
+    dim = bodies[0].dimension
     grid = sphere_grid(dim, spec.resolution)
     gen_specs = spec.generator_specs or [{"kind": "power", "alpha": 0.25}]
     if spec.i_values and len(bodies) != 2:
@@ -403,7 +430,7 @@ def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     return 0
 
 
-#: command name -> runner(spec, tolerances, report) -> exit code
+#: command name -> runner(spec, tolerances, report) -> exit code; its docstring is its help
 _COMMANDS = {
     "compute": _run_compute,
     "mixed": _run_mixed,
@@ -414,94 +441,46 @@ _COMMANDS = {
 }
 
 
-def _write_report(spec: JobSpec, report: dict) -> None:
+def _write_report(report: dict, output_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2)
-    if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8") as fh:
+    if output_path:
+        with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _json_flag(value: str) -> dict:
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"invalid JSON {value!r}: {exc.msg}") from exc
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError instead of exiting 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mixdiv",
-        description="Mixed divergences over finite measure spaces, with inequality audits.",
-    )
+    """One subparser per command, with exactly the options that name it. No flag
+    has an argparse default, so an option not given keeps its JobSpec default."""
+    parser = _Parser(prog="mixdiv", description="Mixed divergences over finite measure "
+                     "spaces, with inequality audits.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        if needs_input:
-            p.add_argument("--input", required=True, dest="input_path", metavar="INPUT",
-                           help="JSON or CSV input document")
-        p.add_argument("--output", dest="output_path", metavar="OUTPUT",
-                       help="report path (stdout when omitted)")
-        p.add_argument(
-            "--f", action="append", type=_json_flag, default=[], dest="generator_specs",
-            metavar="FSPECS", help='generator spec, e.g. {"kind":"power","alpha":0.5}; repeatable',
-        )
-        p.add_argument("--epsilon-floor", type=float, default=None,
-                       help="replace zero densities by this value, then renormalize")
-        p.add_argument("--tol-ineq", type=float, default=None)
-        p.add_argument("--tol-eq", type=float, default=None)
-        p.add_argument("--tol-prop", type=float, default=None)
-
-    p = sub.add_parser("compute", help="classical divergence per pair")
-    common(p)
-
-    p = sub.add_parser("mixed", help="mixed divergence and its order-change row")
-    common(p)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="also report the mixed Renyi divergence of this order")
-    p.add_argument("--k", type=int, default=None,
-                   help="also report the single order-k variant")
-    p.add_argument("--m", type=int, default=None,
-                   help="also audit the order-m substitution inequality")
-
-    p = sub.add_parser("ith", help="two-pair interpolated divergence on an i grid")
-    common(p)
-    p.add_argument("--i", action="append", type=float, default=[], dest="i_values")
-    p.add_argument("--n", type=int, default=None, help="ambient exponent base (default 2)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="use power generators of this exponent when --f is absent")
-
-    p = sub.add_parser("dissimilarity", help="multivariate integrand over densities")
-    common(p)
-
-    p = sub.add_parser("audit", help="randomized inequality suite")
-    common(p, needs_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=1000,
-                   help="instances per check family")
-
-    p = sub.add_parser("geometry", help="ball/ellipsoid affine surface areas")
-    common(p, needs_input=False)
-    p.add_argument("--input", required=False, dest="input_path", metavar="INPUT",
-                   help="optional document with 'bodies'")
-    p.add_argument("--body", action="append", type=_json_flag, default=[], dest="bodies",
-                   help='body spec, e.g. {"semi_axes":[1,2,3]}; repeatable')
-    p.add_argument("--i", action="append", type=float, default=[], dest="i_values")
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--resolution", type=int, default=None)
+    for command, runner in _COMMANDS.items():
+        p = sub.add_parser(command, help=runner.__doc__, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for f in fields(JobSpec):
+            if command in f.metadata.get("commands", ()):
+                p.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argument"])
     return parser
 
 
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    """The job of a parsed command line; flags a subcommand lacks keep their defaults."""
-    given = vars(args)
-    return JobSpec(**{f.name: given[f.name] for f in fields(JobSpec) if f.name in given})
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    code = run_job(job_from_args(args))
+    """Run one command line; a usage error exits 1 with its error block on stdout."""
+    try:
+        spec = JobSpec(**vars(_build_parser().parse_args(argv)))
+    except ParseError as exc:
+        code = _fail({}, exc, None)
+    else:
+        code = run_job(spec)
     if argv is None:
         sys.exit(code)
     return code

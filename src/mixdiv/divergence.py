@@ -86,12 +86,15 @@ class PairTriple:
 
     @cached_property
     def integrand_factor(self) -> np.ndarray:
-        """Per-atom values of f(p/q) * q; see :func:`integrand_factor`."""
+        """Per-atom values of f(p/q) * q, read-only.
+
+        Raises MixdivError, naming the atom, when a value is not finite."""
         return _factor(self.generator, self.p, self.q)
 
     @cached_property
     def adjoint_factor(self) -> np.ndarray:
-        """Per-atom values of f*(q/p) * p; see :func:`adjoint_factor`."""
+        """Per-atom values of the same quantity in adjoint form, f*(q/p) * p,
+        evaluated separately; read-only, and raises as :attr:`integrand_factor`."""
         return _factor(adjoint(self.generator), self.q, self.p)
 
 
@@ -134,22 +137,6 @@ def _factor(g: Generator, num: Density, den: Density) -> np.ndarray:
         raise MixdivError(f"integrand factor of {g.label} is not finite at atom {atom!r}")
     out.setflags(write=False)
     return out
-
-
-def integrand_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of f(p/q) * q for one triple, evaluated once per
-    triple and returned as the same read-only array on every call.
-
-    Raises MixdivError, naming the atom, when a value is not finite."""
-    return triple.integrand_factor
-
-
-def adjoint_factor(triple: PairTriple) -> np.ndarray:
-    """Per-atom values of the identical quantity in adjoint form f*(q/p) * p,
-    evaluated separately from :func:`integrand_factor`, once per triple.
-
-    Raises MixdivError, naming the atom, when a value is not finite."""
-    return triple.adjoint_factor
 
 
 def weighted_product_integral(
@@ -239,15 +226,19 @@ def ith_mixed(spec: IthMixedSpec) -> float:
     (i = 0 gives pair2, i = n gives pair1), and the index satisfies the
     duality D((f1,f2), (P1,P2), (Q1,Q2); i) = D((f2,f1), (P2,Q2), (P1,Q1); n-i).
     """
-    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0]
+    return _ith_integrals(spec.space, spec.pair1, spec.pair2, [spec.i], spec.n)[0]
 
 
 def _ith_mixed_grid(
     pair1: PairTriple, pair2: PairTriple, indices: Sequence[float], n: int
 ) -> list[float]:
-    """:func:`ith_mixed` at each index."""
+    """:func:`ith_mixed` at each index, with n and the space checked once."""
     _check_base(n)
-    space = same_space(pair1.p, pair2.p)
+    return _ith_integrals(same_space(pair1.p, pair2.p), pair1, pair2, indices, n)
+
+
+def _ith_integrals(space: MeasureSpace, pair1: PairTriple, pair2: PairTriple,
+                   indices: Sequence[float], n: int) -> list[float]:
     w1, w2 = pair1.integrand_factor, pair2.integrand_factor
     return [weighted_product_integral(space, [w1, w2], [i / n, 1.0 - i / n]) for i in indices]
 

@@ -63,7 +63,6 @@ class Generator:
     strict: bool
     positive: bool
     params: tuple = ()
-    adjoint_depth: int = 0
     fn: Optional[Callable[[float], float]] = None
     base: Optional["Generator"] = None
     scale: float = 1.0
@@ -283,7 +282,6 @@ def adjoint(g: Generator) -> Generator:
         kind=row.adjoint,
         params=row.adjoint_params(g.params),
         fn=None if g.fn is None else _star(g.fn),
-        adjoint_depth=g.adjoint_depth + 1,
         base=g,
     )
 
@@ -352,15 +350,6 @@ def _arity(value) -> int:
     if arity < 1 or arity != int(arity):
         raise MixdivError(f"arity must be an integer >= 1, got {value!r}")
     return int(arity)
-
-
-def multivariate(arity: int, fn: Callable[..., float], label: str = "custom") -> MultivariateGenerator:
-    """Wrap a callable of ``arity`` floats; it is called once per atom."""
-
-    def block(cols: np.ndarray) -> np.ndarray:
-        return np.array([float(fn(*col)) for col in cols.T.tolist()])
-
-    return MultivariateGenerator(_arity(arity), block, label)
 
 
 def _negated_product(exponents: list[float], label: str) -> MultivariateGenerator:

@@ -36,6 +36,9 @@ from .measures import Density, MeasureSpace, make_space, validate_density
 #: default polar resolution per dimension
 DEFAULT_RESOLUTION = {2: 256, 3: 64}
 
+#: the most nodes a grid may have: 32 MiB for each float64 value per node
+MAX_NODES = 2**22
+
 
 @dataclass(frozen=True, eq=False)
 class SphereGrid:
@@ -90,6 +93,7 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
     ``resolution`` is the number of polar nodes (dimension 3 also uses
     2 * resolution azimuthal nodes). Defaults per dimension are chosen so
     smooth closed-form test integrands converge well below 1e-6 relative.
+    A grid of more than :data:`MAX_NODES` nodes raises before it allocates.
     """
     if dimension not in (2, 3):
         raise UnsupportedDimension(f"dimension {dimension} not supported (2 or 3 only)")
@@ -98,6 +102,9 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
     resolution = int(resolution)
     if resolution < 4:
         raise MixdivError(f"resolution {resolution} too small; need >= 4")
+    n_nodes = resolution if dimension == 2 else 2 * resolution**2
+    if n_nodes > MAX_NODES:
+        raise MixdivError(f"resolution {resolution} gives {n_nodes} nodes; at most {MAX_NODES}")
     if dimension == 2:
         theta = 2.0 * math.pi * np.arange(resolution) / resolution
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])

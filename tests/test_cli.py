@@ -1,12 +1,13 @@
 import copy
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
 
 from mixdiv.audit import COROLLARY_CASES
-from mixdiv.cli import JobSpec, load_document, load_input, main, run_job
+from mixdiv.cli import JobSpec, load_document, main, run_job
 from mixdiv.errors import NonpositiveDensity, ParseError
 
 MIXED_SQRT_VALUE = 0.9129266728982846
@@ -28,7 +29,7 @@ def fixture_path(tmp_path):
 
 
 def test_load_input_json(fixture_path):
-    space, pairs = load_input(fixture_path)
+    space, pairs = load_document(fixture_path)[:2]
     assert space.n_atoms == 2 and space.total_mass == 2.0
     assert len(pairs) == 2
     for p, q in pairs:
@@ -38,7 +39,7 @@ def test_load_input_json(fixture_path):
 def test_load_input_csv(tmp_path):
     path = tmp_path / "input.csv"
     path.write_text("atom,mu,p1,q1\na,1.0,0.5,0.25\nb,1.0,0.5,0.75\n")
-    space, pairs = load_input(str(path))
+    space, pairs = load_document(str(path))[:2]
     assert space.atom_ids == ("a", "b")
     assert len(pairs) == 1
     assert pairs[0][0].prob_certified
@@ -48,30 +49,30 @@ def test_load_input_missing_mu(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"pairs": []}))
     with pytest.raises(ParseError, match="mu required"):
-        load_input(str(path))
+        load_document(str(path))
 
 
 def test_load_input_zero_density_rejected(tmp_path):
     path = tmp_path / "zeros.json"
     path.write_text(json.dumps({"mu": [1.0, 1.0], "pairs": [{"p": [0.0, 1.0], "q": [0.5, 0.5]}]}))
     with pytest.raises(NonpositiveDensity):
-        load_input(str(path))
+        load_document(str(path))
 
 
 def test_load_input_csv_zero_density_names_atom(tmp_path):
     path = tmp_path / "input.csv"
     path.write_text("atom,mu,p1,q1\nleft,1.0,0.0,0.25\nright,1.0,1.0,0.75\n")
     with pytest.raises(NonpositiveDensity, match="left"):
-        load_input(str(path))
+        load_document(str(path))
     # the floor option repairs the same file
-    _, pairs = load_input(str(path), epsilon_floor=1e-6)
+    _, pairs = load_document(str(path), epsilon_floor=1e-6)[:2]
     assert pairs[0][0].values[0] > 0.0
 
 
 def test_epsilon_floor_repairs_zeros(tmp_path):
     path = tmp_path / "zeros.json"
     path.write_text(json.dumps({"mu": [1.0, 1.0], "pairs": [{"p": [0.0, 1.0], "q": [0.5, 0.5]}]}))
-    space, pairs = load_input(str(path), epsilon_floor=1e-6)
+    space, pairs = load_document(str(path), epsilon_floor=1e-6)[:2]
     p, _ = pairs[0]
     assert p.prob_certified  # renormalized after flooring
     assert p.values[0] > 0.0
@@ -103,14 +104,13 @@ def test_mixed_job_optional_index_flags(fixture_path, tmp_path):
     out = tmp_path / "flags.json"
     code = run_job(
         JobSpec(command="mixed", input_path=fixture_path, output_path=str(out),
-                alpha=0.5, k=1, m=2)
+                alpha=0.5, m=2)
     )
     assert code == 0
     values = json.loads(out.read_text())["values"]
     assert values["renyi"]["value"] == pytest.approx(
         -2.0 * math.log(values["mixed_divergence"]), rel=1e-12
     )
-    assert abs(values["order_change_k"]["value"] - values["mixed_divergence"]) <= 1e-12
     assert values["substitution_inequality"]["holds"]
 
 
@@ -341,6 +341,7 @@ BAD_DOCUMENTS = {
     ["dissimilarity", "--f", '{"kind":"matusita","arity":2}', "--input", "@densities_not_list"],
     ["audit", "--instances", "0"],
     ["audit", "--instances", "-1"],
+    ["geometry", "--resolution", "100000"] + ["--body", '{"semi_axes":[1,1,1]}'] * 3,
 ])
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"
@@ -354,6 +355,62 @@ def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["type"] and error["message"]
+
+
+#: command -> the flags it accepts, besides --help
+ACCEPTED_FLAGS = {
+    "compute": {"--input", "--output", "--f", "--epsilon-floor"},
+    "dissimilarity": {"--input", "--output", "--f", "--epsilon-floor"},
+    "mixed": {"--input", "--output", "--f", "--epsilon-floor", "--alpha", "--m",
+              "--tol-ineq", "--tol-eq", "--tol-prop"},
+    "ith": {"--input", "--output", "--f", "--epsilon-floor", "--i", "--n", "--alpha"},
+    "audit": {"--output", "--seed", "--instances", "--tol-ineq", "--tol-eq", "--tol-prop"},
+    "geometry": {"--input", "--output", "--f", "--body", "--i", "--resolution"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_FLAGS))
+def test_help_lists_exactly_the_flags_each_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == ACCEPTED_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--instances", "abc"],
+    ["audit", "--f", '{"kind":"tv"}'],
+    ["compute", "--tol-ineq", "1e-9"],
+    ["geometry", "--epsilon-floor", "1e-6"],
+    ["mixed", "--k", "1"],
+    ["geometry", "--dimension", "3"],
+    ["compute"],
+    ["compute", "--f", "{"],
+    ["mixed", "--inp", "x.json"],
+    ["bogus"],
+    [],
+])
+def test_usage_error_exits_one_with_error_on_stdout(argv, capsys):
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "ParseError" and error["message"]
+
+
+def test_missing_input_report_reaches_output(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["compute", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["error"] == {"type": "ParseError", "message": "compute needs --input"}
+
+
+def test_report_echoes_the_options_its_command_reads(fixture_path, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["audit", "--instances", "1", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["options"] == {"seed": 0, "instances": 1}
+    assert main(["mixed", "--input", fixture_path, "--output", str(out)]) == 0
+    options = json.loads(out.read_text())["inputs"]["options"]
+    assert list(options) == ["generator_specs", "alpha", "m", "epsilon_floor"]
 
 
 def test_unknown_command_exits_one_before_reading_input(tmp_path):

@@ -15,9 +15,12 @@ from mixdiv import (
     f_divergence,
     integrate,
     ith_bhattacharyya,
+    ith_hellinger,
+    ith_kl,
     ith_mixed,
     ith_mixed_reference,
     ith_renyi,
+    ith_total_variation,
     make_generator,
     make_space,
     make_vector,
@@ -245,9 +248,9 @@ def test_order_change_row_evaluates_each_factor_once(monkeypatch):
 
 def test_factors_are_shared_read_only_arrays():
     t = _convex_probability_triples(1)[0]
-    for factor in (divergence.integrand_factor, divergence.adjoint_factor):
-        w = factor(t)
-        assert factor(t) is w
+    for name in ("integrand_factor", "adjoint_factor"):
+        w = getattr(t, name)
+        assert getattr(t, name) is w
         with pytest.raises(ValueError):
             w[0] = 1.0
 
@@ -527,7 +530,7 @@ def test_products_of_powers_match_mpmath(seed):
             m * mpmath.fprod(col) ** (mpmath.mpf(1) / 6) for m, col in zip(mu, zip(*direct))
         )
         # the combination alone, on the engine's own double factors
-        factors = [divergence.integrand_factor(t) for t in triples]
+        factors = [t.integrand_factor for t in triples]
         exact = [[mpmath.mpf(float(v)) for v in f] for f in factors]
         wpi_want = mpmath.fsum(
             m * mpmath.fprod(w ** mpmath.mpf(e) for w, e in zip(col, exponents))
@@ -553,8 +556,8 @@ def _overflow_triple():
 def test_overflowing_integrand_factor_is_typed():
     t = _overflow_triple()
     cases = [
-        lambda: divergence.integrand_factor(t),
-        lambda: divergence.adjoint_factor(t),
+        lambda: t.integrand_factor,
+        lambda: t.adjoint_factor,
         lambda: f_divergence(t.generator, t.p, t.q),
         lambda: mixed_divergence([t, t]),
         lambda: mixed_divergence_k([t, t], 0),
@@ -665,3 +668,18 @@ def test_ith_wrappers(two_atom):
         ith_renyi(pair1, pair1, 0.5, 2.0, 2),
         mixed_renyi([pair1, pair1], 0.5),
     )
+
+
+@pytest.mark.parametrize("i", [0.0, 0.7, 1.0, 1.5, 2.0])
+def test_named_ith_wrappers_match_direct_oracle(two_atom, i):
+    pair1 = (two_atom["p1"], two_atom["q1"])
+    pair2 = (two_atom["p2"], two_atom["q2"])
+    lists = [d.values.tolist() for d in (*pair1, *pair2)]
+    mu = two_atom["space"].weights.tolist()
+    for got, f1, f2 in [
+        (ith_total_variation(pair1, pair2, i, 2), oracles.tv, oracles.tv),
+        (ith_kl(pair1, pair2, i, 2), oracles.klp, oracles.klp),
+        (ith_hellinger(pair1, pair2, 0.25, 2.0, i, 2), oracles.power(0.25), oracles.power(2.0)),
+    ]:
+        want = oracles.direct_ith(f1, *lists[:2], f2, *lists[2:], i, 2, mu)
+        _rel_eq(got, want)

@@ -52,6 +52,12 @@ def test_sphere_grid_rejects_tiny_resolution():
         sphere_grid(2, 2)
 
 
+@pytest.mark.parametrize("dimension, resolution", [(3, 1449), (2, 2**22 + 1)])
+def test_sphere_grid_rejects_more_than_max_nodes(dimension, resolution):
+    with pytest.raises(MixdivError, match="at most 4194304"):
+        sphere_grid(dimension, resolution)
+
+
 def test_ellipsoid_validation():
     with pytest.raises(MixdivError):
         EllipsoidBody(semi_axes=(1.0, 0.0))
