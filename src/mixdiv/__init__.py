@@ -8,6 +8,7 @@ Core surface:
 * :mod:`mixdiv.audit`       inequality checks and the randomized suite
 * :mod:`mixdiv.geometry`    sphere grids and affine surface areas
 * :mod:`mixdiv.cli`         batch jobs and JSON reports
+* :mod:`mixdiv.report`      the indent-2 JSON report writer
 """
 
 from .audit import (

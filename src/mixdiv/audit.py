@@ -19,7 +19,6 @@ order; violations are report entries, not exceptions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -54,6 +53,7 @@ from .generators import (
     scale_generator,
 )
 from .measures import Density, MeasureSpace, integrate, make_space, validate_density
+from .report import dumps_report
 
 
 @dataclass(frozen=True)
@@ -851,8 +851,11 @@ def audit_suite(config: AuditConfig) -> list[AuditReport]:
 
     Deterministic for a fixed config (one seeded RNG consumed in a fixed
     section order); returns the reports in generation order. Violations are
-    reported, not raised; see :func:`violations`.
+    reported, not raised; see :func:`violations`. A negative seed raises
+    :class:`IndexOutOfRange`.
     """
+    if config.seed < 0:
+        raise IndexOutOfRange(f"seed {config.seed} must be at least 0")
     rng = np.random.default_rng(config.seed)
     return [
         report
@@ -881,4 +884,4 @@ def report_to_dict(report: AuditReport) -> dict:
 
 def reports_to_json(reports: Sequence[AuditReport]) -> str:
     """Serialize reports as a JSON list; floats use shortest round-trip form."""
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    return dumps_report([report_to_dict(r) for r in reports])

@@ -64,6 +64,7 @@ from .measures import (
     make_vector,
     validate_density,
 )
+from .report import dumps_report
 
 
 def _json_flag(value: str) -> dict:
@@ -174,13 +175,12 @@ def _parse_csv(path: str, text: str) -> dict:
     return {"mu": mu, "atom_ids": atoms, "pairs": pairs}
 
 
-def _floor_values(values: Sequence[float], space: MeasureSpace, floor: float) -> list[float]:
+def _floor_values(values: Sequence[float], space: MeasureSpace, floor: float) -> np.ndarray:
     arr = _frozen_array(values)
     if not np.any(arr == 0.0):
-        return [float(v) for v in arr]
+        return arr
     arr = np.where(arr == 0.0, floor, arr)
-    arr = arr / integrate(space, arr)
-    return [float(v) for v in arr]
+    return arr / integrate(space, arr)
 
 
 def _certify(space: MeasureSpace, values, label: str, warnings: list) -> Density:
@@ -196,6 +196,8 @@ def load_document(
     path: str, epsilon_floor: Optional[float] = None
 ) -> tuple[MeasureSpace, list[tuple[Density, Density]], list, dict]:
     """Full loader: (space, pairs, warnings, echo document)."""
+    if epsilon_floor is not None and not 0.0 < epsilon_floor < np.inf:
+        raise MixdivError(f"--epsilon-floor {epsilon_floor!r} must be finite and > 0")
     doc = _parse_document(path)
     if "mu" not in doc:
         raise ParseError(f"{path}: mu required")
@@ -216,11 +218,11 @@ def load_document(
         p = _certify(space, p_vals, f"pair {idx} p", warnings)
         q = _certify(space, q_vals, f"pair {idx} q", warnings)
         pairs.append((p, q))
-        echo_pair = {"p": [float(v) for v in p_vals], "q": [float(v) for v in q_vals]}
+        echo_pair = {"p": p.values.tolist(), "q": q.values.tolist()}
         if "f" in pair:
             echo_pair["f"] = pair["f"]
         echo_pairs.append(echo_pair)
-    echo = {"mu": [float(w) for w in space.weights], "pairs": echo_pairs}
+    echo = {"mu": space.weights.tolist(), "pairs": echo_pairs}
     if "densities" in doc:
         rows = doc["densities"]
         if not isinstance(rows, list):
@@ -272,7 +274,10 @@ def run_job(spec: JobSpec) -> int:
             raise MixdivError(f"unknown command {spec.command!r}")
         tol = _tolerances(spec)
         report["tolerances"] = {**tolerances_to_dict(tol), "eps_norm": EPS_NORM}
-        exit_code = _COMMANDS[spec.command](spec, tol, report)
+        # overflow surfaces as a non-finite value that the runners turn into
+        # typed errors, so numpy's warning would only add noise on stderr
+        with np.errstate(over="ignore"):
+            exit_code = _COMMANDS[spec.command](spec, tol, report)
     except MixdivError as exc:
         return _fail(report, exc, spec.output_path)
     _write_report(report, spec.output_path)
@@ -345,9 +350,8 @@ def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     gens = _pair_generators(specs, echo, len(pairs))[:2]
     n = spec.n if spec.n is not None else 2
     grid = [float(v) for v in spec.i_values] or [float(v) for v in range(n + 1)]
-    triple1 = PairTriple(gens[0], *pairs[0])
-    triple2 = PairTriple(gens[1], *pairs[1])
-    values = _ith_mixed_grid(triple1, triple2, grid, n)
+    triples = [PairTriple(g, *pair) for g, pair in zip(gens, pairs)]
+    values = _ith_mixed_grid(*triples, grid, n)
     report["values"] = {
         "generators": [g.label for g in gens],
         "n": n,
@@ -364,10 +368,7 @@ def _run_dissimilarity(spec: JobSpec, tol: Tolerances, report: dict) -> int:
         raise MixdivError("dissimilarity needs one --f with a multivariate spec")
     g = multivariate_from_spec(spec.generator_specs[0])
     if "densities" in echo:
-        dens = [
-            validate_density(space, row, require_prob=False)
-            for row in echo["densities"]
-        ]
+        dens = [validate_density(space, row) for row in echo["densities"]]
     else:
         dens = [p for (p, _) in pairs]
     value = f_dissimilarity(g, make_vector(dens))
@@ -399,8 +400,7 @@ def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     """ball/ellipsoid affine surface areas"""
     body_specs = list(spec.bodies)
     if not body_specs and spec.input_path:
-        doc = _parse_document(spec.input_path)
-        body_specs = doc.get("bodies", [])
+        body_specs = _parse_document(spec.input_path).get("bodies", [])
     if not body_specs:
         raise MixdivError("geometry needs --body specs or a document with 'bodies'")
     if not isinstance(body_specs, list):
@@ -442,10 +442,10 @@ _COMMANDS = {
 
 
 def _write_report(report: dict, output_path: Optional[str]) -> None:
-    text = json.dumps(report, indent=2)
+    text = dumps_report(report)
     if output_path:
         with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 

@@ -342,7 +342,13 @@ BAD_DOCUMENTS = {
     ["audit", "--instances", "0"],
     ["audit", "--instances", "-1"],
     ["geometry", "--resolution", "100000"] + ["--body", '{"semi_axes":[1,1,1]}'] * 3,
+    ["audit", "--seed", "-1", "--instances", "1"],
+    ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "-1"],
+    ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "0"],
+    ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "inf"],
+    ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "nan"],
 ])
+@pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"
     for name, doc in BAD_DOCUMENTS.items():
@@ -450,3 +456,29 @@ def test_floats_serialized_round_trip(fixture_path, tmp_path):
     text = out.read_text()
     value = json.loads(text)["values"]["mixed_divergence"]
     assert repr(value) in text  # shortest round-trip rendering
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--f", '{"kind":"sqrt"}'],
+    ["mixed", "--alpha", "0.5", "--m", "1"],
+    ["ith", "--i", "0.5", "--i", "2"],
+    ["dissimilarity", "--f", '{"kind":"matusita","arity":2}'],
+    ["audit", "--seed", "3", "--instances", "2"],
+    ["geometry", "--body", '{"semi_axes":[1,2,3]}', "--resolution", "16"],
+    ["compute", "--f", '{"kind":"power"}'],
+    ["audit", "--seed", "-1", "--instances", "1"],
+    ["geometry"],
+])
+def test_reports_are_indent_2_json(argv, fixture_path, tmp_path):
+    out = tmp_path / "r.json"
+    if argv[0] not in ("audit", "geometry"):
+        argv = argv + ["--input", fixture_path]
+    main(argv + ["--output", str(out)])
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_usage_error_report_is_indent_2_json(capsys):
+    assert main(["bogus"]) == 1
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
