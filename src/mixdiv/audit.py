@@ -161,12 +161,6 @@ def _require_prob(triples: Sequence[PairTriple], what: str) -> None:
             raise NotProbability(f"{what} requires probability-certified densities")
 
 
-def _linear_mix(t: PairTriple) -> np.ndarray:
-    """(a*p + b*q) / (a + b) for a linear generator a*t + b."""
-    a, b = t.generator.params
-    return (a * t.p.values + b * t.q.values) / (a + b)
-
-
 def _rel_close(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-300)
     return float(np.max(np.abs(u - v))) <= tol * scale
@@ -342,7 +336,9 @@ def check_concave_upper(
         expected = _agree([d.values for t in triples for d in (t.p, t.q)], tolerances.prop)
     elif all(t.generator.kind == "linear" for t in triples):
         basis = "linear-remark"
-        expected = _agree([_linear_mix(t) for t in triples], tolerances.prop)
+        # f(p/q)*q / f(1) is (a*p + b*q)/(a + b) for f = a*t + b, at any scale
+        mixes = [t.integrand_factor / t.generator(1.0) for t in triples]
+        expected = _agree(mixes, tolerances.prop)
 
     detail = {
         "n": int(n),
@@ -541,7 +537,8 @@ def check_corollary(
     basis, expected = "none", False
     if row.linear_remark and all(g.kind == "linear" for g in gens):
         basis = "linear-remark"
-        expected = _agree([_linear_mix(t) for t in pairs] + base, tolerances.prop)
+        mixes = [t.integrand_factor / t.generator(1.0) for t in pairs]
+        expected = _agree(mixes + base, tolerances.prop)
     elif all(g.strict for g in gens):
         basis = "strict"
         expected = _agree(base + [d.values for t in pairs for d in (t.p, t.q)], tolerances.prop)

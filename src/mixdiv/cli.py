@@ -47,7 +47,7 @@ from .divergence import (
     mixed_renyi,
 )
 from .errors import MixdivError, NotNormalized, ParseError
-from .generators import Generator, _real, generator_from_spec, multivariate_from_spec
+from .generators import Generator, generator_from_spec, multivariate_from_spec
 from .geometry import (
     EllipsoidBody,
     _ith_mixed_areas,
@@ -393,7 +393,7 @@ def _body_from_spec(spec) -> EllipsoidBody:
     axes = spec.get("semi_axes") if isinstance(spec, dict) else None
     if not isinstance(axes, list):
         raise MixdivError(f'a body spec is {{"semi_axes": [numbers]}}, got {spec!r}')
-    return EllipsoidBody(semi_axes=tuple(_real("body", "semi_axes", a) for a in axes))
+    return EllipsoidBody(semi_axes=tuple(axes))
 
 
 def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:

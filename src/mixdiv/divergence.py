@@ -11,6 +11,8 @@ raised to various exponents:
 * order-k variant               first k factors direct, rest in adjoint form
 * i-th mixed divergence         two pairs with exponents i/n and (n-i)/n
 * reference variant             second pair replaced by the base measure
+* affinity dissimilarity        minus integral of prod_i p_i**a_i (densities as factors)
+* paired dissimilarity          the classical divergence of f, for paired(f)
 
 Each factor w_i is formed in linear space, and one that is not finite
 raises a typed error: a generator value that overflows names its argument
@@ -156,6 +158,11 @@ def weighted_product_integral(
     IndexOutOfRange
         If an exponent is not finite or their absolute values sum beyond 1e300.
     """
+    return integrate(space, _product_terms(space, factors, exponents))
+
+
+def _product_terms(space: MeasureSpace, factors: Sequence, exponents: Sequence) -> np.ndarray:
+    """Validate and form the per-atom terms of :func:`weighted_product_integral`."""
     if len(factors) != len(exponents):
         raise ArityMismatch(f"{len(factors)} factors vs {len(exponents)} exponents")
     if not sum(abs(e) for e in exponents) <= _EXPONENT_MASS_LIMIT:
@@ -179,10 +186,10 @@ def weighted_product_integral(
                 acc += t
                 scratch = t
     if acc is None:
-        return integrate(space, np.ones(space.n_atoms))
+        return np.ones(space.n_atoms)
     terms = np.exp(acc, out=acc)
     terms[np.isnan(terms)] = 0.0
-    return integrate(space, terms)
+    return terms
 
 
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
@@ -261,15 +268,16 @@ def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> f
 
 
 def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float:
-    """Integral of g(p_1, ..., p_l) over the atoms.
-
-    Generalizes the classical divergence: with g = paired(f) on the vector
-    (p, q) it coincides with f_divergence(f, p, q).
+    """Integral of g(p_1, ..., p_l) over the atoms: for an affinity, minus the
+    integral of the :func:`weighted_product_integral` terms of the densities;
+    for g = paired(f) on (p, q), f_divergence(f, p, q) bit for bit, errors included.
     """
     if len(densities) != g.arity:
         raise ArityMismatch(f"generator arity {g.arity} vs {len(densities)} densities")
-    vals = g.eval_block(np.stack([d.values for d in densities.densities]))
-    return integrate(densities.space, vals)
+    space, dens = densities.space, densities.densities
+    if g.generator is not None:
+        return integrate(space, _factor(g.generator, *dens))
+    return -integrate(space, _product_terms(space, [d.values for d in dens], g.exponents))
 
 
 # --- named wrappers -------------------------------------------------------------

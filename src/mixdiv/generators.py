@@ -18,15 +18,17 @@ calls go through the array evaluator, so ``g(t) == g.eval_array([t])[0]``.
 Shape metadata drives the inequality audits: ``shape`` is one of ``convex``,
 ``concave``, ``linear`` (affine functions count as both convex and concave),
 ``strict`` claims strict convexity/concavity on all of (0, inf), and
-``positive`` claims f(t) > 0 for every t > 0. Multivariate generators
-evaluate a block of l density columns at once; their spec kinds are the
-table ``_MULTIVARIATE_SPECS``.
+``positive`` claims f(t) > 0 for every t > 0. Multivariate generators are
+plain data, affinity exponents or the scalar generator of the paired form,
+which :func:`~mixdiv.divergence.f_dissimilarity` integrates with the
+divergence engine; their spec kinds are the table ``_MULTIVARIATE_SPECS``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -47,6 +49,7 @@ LINEAR = "linear"
 #: number of random midpoint samples used to vet declared custom shapes
 _SHAPE_SAMPLES = 1000
 _SHAPE_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +180,9 @@ _SPEC_NAMES = {name: (name, {}) for name in _KINDS} | {
 
 
 def _real(what: str, name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # compared exactly, so an integer beyond float range is rejected, not converted
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= _FLOAT_MAX):
         raise MixdivError(f"{what} parameter {name!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -327,22 +332,15 @@ def generator_from_spec(spec: dict) -> Generator:
 
 @dataclass(frozen=True, eq=False)
 class MultivariateGenerator:
-    """A function of l positive arguments, integrated pointwise over atoms.
-
-    ``block`` maps an (l x atoms) array of density columns to the atoms'
-    values. Unlike scalar generators the codomain may be negative (the
-    affinity families are negated products).
-    """
+    """A function of l positive arguments, as data: the ``exponents`` a_i of
+    the affinity -prod_i x_i**a_i, or the scalar ``generator`` f of the paired
+    form (x, y) -> y * f(x / y). Unlike a scalar generator it may be negative;
+    :func:`~mixdiv.divergence.f_dissimilarity` integrates it."""
 
     arity: int
-    block: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def eval_block(self, cols: np.ndarray) -> np.ndarray:
-        vals = self.block(cols)
-        if not np.all(np.isfinite(vals)):
-            raise MixdivError(f"multivariate generator {self.label} produced a non-finite value")
-        return vals
+    label: str
+    exponents: tuple[float, ...] = ()
+    generator: Optional[Generator] = None
 
 
 def _arity(value) -> int:
@@ -352,44 +350,26 @@ def _arity(value) -> int:
     return int(arity)
 
 
-def _negated_product(exponents: list[float], label: str) -> MultivariateGenerator:
-    """-prod_i x_i**e_i, multiplied left to right over the columns."""
-
-    def block(cols: np.ndarray) -> np.ndarray:
-        out = np.ones(cols.shape[1])
-        for col, e in zip(cols, exponents):
-            out *= col**e
-        return -out
-
-    return MultivariateGenerator(len(exponents), block, label)
-
-
 def matusita_affinity(arity: int) -> MultivariateGenerator:
     """-prod_i x_i**(1/l): the negated Matusita affinity integrand."""
     l = _arity(arity)
-    return _negated_product([1.0 / l] * l, "matusita")
+    return MultivariateGenerator(l, "matusita", exponents=(1.0 / l,) * l)
 
 
 def toussaint_affinity(exponents) -> MultivariateGenerator:
     """-prod_i x_i**a_i with a_i >= 0 summing to 1."""
     if not isinstance(exponents, (list, tuple, np.ndarray)):
         raise MixdivError(f"toussaint weights must be a list, got {exponents!r}")
-    a = [_real("toussaint", "weights", x) for x in exponents]
+    a = tuple(_real("toussaint", "weights", x) for x in exponents)
     if any(x < 0.0 for x in a) or abs(math.fsum(a) - 1.0) > 1e-12:
         raise MixdivError("exponents must be >= 0 and sum to 1")
-    return _negated_product(a, "toussaint")
+    return MultivariateGenerator(len(a), "toussaint", exponents=a)
 
 
 def paired(g: Generator) -> MultivariateGenerator:
-    """The two-argument form (x, y) -> y * g(x / y).
-
-    Its dissimilarity equals the classical divergence of g.
-    """
-
-    def block(cols: np.ndarray) -> np.ndarray:
-        return cols[1] * g.eval_array(cols[0] / cols[1])
-
-    return MultivariateGenerator(2, block, f"paired({g.label})")
+    """The two-argument form (x, y) -> y * g(x / y); its dissimilarity is
+    the classical divergence of g, bit for bit."""
+    return MultivariateGenerator(2, f"paired({g.label})", generator=g)
 
 
 #: multivariate spec kind -> (its one parameter, constructor taking that value)

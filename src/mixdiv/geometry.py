@@ -30,7 +30,7 @@ import numpy as np
 
 from .divergence import PairTriple, _ith_mixed_grid, mixed_divergence
 from .errors import DimensionMismatch, MixdivError, UnsupportedDimension
-from .generators import Generator
+from .generators import Generator, _real
 from .measures import Density, MeasureSpace, make_space, validate_density
 
 #: default polar resolution per dimension
@@ -38,6 +38,9 @@ DEFAULT_RESOLUTION = {2: 256, 3: 64}
 
 #: the most nodes a grid may have: 32 MiB for each float64 value per node
 MAX_NODES = 2**22
+
+#: bound on |log| of a body's boundary data: normal floats, with headroom
+_LOG_RANGE = 1021 * math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +73,18 @@ class EllipsoidBody:
     semi_axes: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        axes = tuple(float(a) for a in self.semi_axes)
+        axes = tuple(_real("ellipsoid", "semi_axes", a) for a in self.semi_axes)
         if not axes:
             raise MixdivError("an ellipsoid needs at least one semi-axis")
-        if any(not math.isfinite(a) or a <= 0.0 for a in axes):
+        if any(a <= 0.0 for a in axes):
             raise MixdivError(f"semi-axes must be finite and > 0: {axes!r}")
+        # h lies in [min a, max a] on unit normals, so these extremes bound the logs
+        # of a**2, h**(n+1), h**-n, (prod a)**2, f = (prod a)**2 / h**(n+1) and f*h
+        logs = [math.log(a) for a in axes]
+        n, vol, ends = len(axes), 2.0 * math.fsum(logs), (min(logs), max(logs))
+        bounds = [c - k * x for c in (0.0, vol) for k in (0, n, n + 1) for x in ends]
+        if max(map(abs, bounds)) > _LOG_RANGE:
+            raise MixdivError(f"semi-axes {axes!r} give boundary data beyond float range")
         object.__setattr__(self, "semi_axes", axes)
 
     @property

@@ -57,7 +57,7 @@ _SUM_CHUNK = 64 * _SUM_BLOCK
 def _frozen_array(values: Sequence[float]) -> np.ndarray:
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: int beyond float range
         raise MixdivError(f"per-atom data must be numbers: {exc}") from None
     if arr.ndim != 1:
         raise MixdivError("per-atom data must be one-dimensional")

@@ -72,6 +72,18 @@ def direct_ith(f1, p1, q1, f2, p2, q2, i, n, mu):
     return total
 
 
+def direct_affinity(exponents, ps, mu):
+    """-sum_j mu_j * prod_i p_i[j]**a_i: the Matusita (a_i = 1/l) and
+    Toussaint dissimilarities."""
+    total = 0.0
+    for j in range(len(mu)):
+        prod = 1.0
+        for a, p in zip(exponents, ps):
+            prod *= p[j] ** a
+        total += prod * mu[j]
+    return -total
+
+
 def direct_ith_reference(f1, p1, q1, i, n, f2_at_one, mu):
     body = sum(
         (f1(p1[j] / q1[j]) * q1[j]) ** (i / n) * mu[j] for j in range(len(mu))

@@ -301,6 +301,8 @@ BAD_DOCUMENTS = {
     "@densities_not_list": {
         "mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}], "densities": 5,
     },
+    # json.dumps writes the integer literal 1 followed by 400 zeros
+    "@huge_int_density": {"mu": [1.0, 1.0], "pairs": [{"p": [10**400, 1.0], "q": [0.5, 0.5]}]},
     # f(p/q) = 1e200 is finite but f(p/q) * q = 1e350 is not
     "@overflowing_factor": {
         "mu": [1e-100, 1.0],
@@ -347,6 +349,10 @@ BAD_DOCUMENTS = {
     ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "0"],
     ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "inf"],
     ["compute", "--f", '{"kind":"tv"}', "--epsilon-floor", "nan"],
+    ["geometry", "--resolution", "16"] + ["--body", '{"semi_axes":[1e200,1,1]}'] * 3,
+    ["geometry", "--resolution", "16"] + ["--body", '{"semi_axes":[1e300,1e300,1e300]}'] * 3,
+    ["geometry", "--resolution", "16"] + ["--body", '{"semi_axes":[1%s,1,1]}' % ("0" * 400)] * 3,
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@huge_int_density"],
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):

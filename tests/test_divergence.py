@@ -629,6 +629,34 @@ def test_paired_dissimilarity_equals_f_divergence(two_atom):
         assert f_dissimilarity(paired(g), vec) == f_divergence(g, p1, q1), g.label
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_affinities_match_direct_oracle_and_atom_reversal(seed):
+    rng = np.random.default_rng(seed)
+    n, arity = int(rng.integers(2, 300)), int(rng.integers(1, 7))
+    mu = rng.uniform(0.1, 2.0, n)
+    ps = [np.exp(rng.uniform(-5.0, 5.0, n)) for _ in range(arity)]
+    weights = rng.dirichlet(np.ones(arity)).tolist()
+    space, back = make_space(mu), make_space(mu[::-1])
+    vec = make_vector([validate_density(space, p) for p in ps])
+    rev = make_vector([validate_density(back, p[::-1]) for p in ps])
+    for g, exponents in ((matusita_affinity(arity), [1.0 / arity] * arity),
+                         (toussaint_affinity(weights), weights)):
+        value = f_dissimilarity(g, vec)
+        _rel_eq(value, oracles.direct_affinity(exponents, [p.tolist() for p in ps], mu.tolist()))
+        assert f_dissimilarity(g, rev) == value, g.label
+
+
+def test_paired_overflow_raises_as_f_divergence():
+    t = _overflow_triple()
+    with np.errstate(over="ignore"):
+        with pytest.raises(MixdivError) as want:
+            f_divergence(t.generator, t.p, t.q)
+        with pytest.raises(MixdivError) as got:
+            f_dissimilarity(paired(t.generator), make_vector([t.p, t.q]))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 def test_dissimilarity_arity_mismatch(two_atom):
     vec = make_vector([two_atom["p1"]])
     with pytest.raises(ArityMismatch):

@@ -218,6 +218,13 @@ def test_scalar_and_array_evaluation_agree_bitwise():
             assert [h(t) for t in grid] == h.eval_array(grid).tolist(), h.label
 
 
+def test_parameter_beyond_float_range_is_typed():
+    for bad in (10**400, -(10**400), math.inf, math.nan, True, "0.5"):
+        with pytest.raises(MixdivError, match="must be a finite number"):
+            make_generator("power", alpha=bad)
+    assert make_generator("power", alpha=10**300).params == (1e300,)
+
+
 def test_generator_from_spec():
     assert generator_from_spec({"kind": "power", "alpha": 0.5}).params == (0.5,)
     assert generator_from_spec({"kind": "tv"}).kind == "total_variation"

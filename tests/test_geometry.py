@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_ellipsoid_validation():
         EllipsoidBody(semi_axes=(1.0, 0.0))
     with pytest.raises(MixdivError):
         EllipsoidBody(semi_axes=())
+    # numeric strings, booleans and integers beyond float range are not numbers
+    for axes in (("2", True), (10**400, 1, 1)):
+        with pytest.raises(MixdivError, match="must be a finite number"):
+            EllipsoidBody(semi_axes=axes)
+
+
+@pytest.mark.parametrize("axes", [(1e200, 1.0, 1.0), (1e300, 1e300, 1e300), (1e-120, 1e-120)])
+def test_ellipsoid_beyond_float_range_is_typed_and_named(axes):
+    with pytest.raises(MixdivError, match=re.escape(repr(axes))):
+        EllipsoidBody(semi_axes=axes)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axes", [(1e50, 1e50, 1e50), (1e-50, 1e-50, 1e-50), (1e60, 1e-60, 1.0)])
+def test_extreme_ellipsoid_within_float_range_has_normal_densities(axes):
+    grid = sphere_grid(3, 8)
+    for density in body_densities(EllipsoidBody(semi_axes=axes), grid):
+        assert np.all(density.values >= np.finfo(float).tiny)
 
 
 def test_ball_boundary_data():

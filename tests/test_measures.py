@@ -255,6 +255,7 @@ def test_summation_overflow_is_typed(n):
     ["a", "b"], "ab", [1.0, {"x": 1}],
     # numpy would read these as numbers
     ["1", "1"], ["0.5", True], [1.0, True], np.array([True, True]), np.array(["1", "2"]),
+    [10**400, 1.0],  # an integer beyond float range
 ])
 def test_non_numeric_per_atom_data_is_typed(values):
     with pytest.raises(MixdivError, match="per-atom data must be numbers"):
