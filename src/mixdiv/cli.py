@@ -72,6 +72,8 @@ def _json_flag(value: str) -> dict:
         return json.loads(value)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"invalid JSON {value!r}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal over 4,300 digits; deep nesting
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
 
 
 def _option(flag: str, commands: str, *, echo: bool = True, default=None, **argument):
@@ -139,6 +141,8 @@ def _parse_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal over 4,300 digits; deep nesting
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON must be an object")
     return doc

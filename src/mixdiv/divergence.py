@@ -60,6 +60,7 @@ from .measures import (
     Density,
     MeasureSpace,
     MeasureVector,
+    _first_invalid,
     integrate,
     same_space,
 )
@@ -134,8 +135,9 @@ def _factor(g: Generator, num: Density, den: Density) -> np.ndarray:
     finite raises."""
     out = g.eval_array(num.values / den.values)
     out *= den.values
-    if not np.isfinite(out).all():
-        atom = num.space.atom_ids[int(np.flatnonzero(~np.isfinite(out))[0])]
+    idx = _first_invalid(out, positive=False)
+    if idx is not None:
+        atom = num.space.atom_ids[idx]
         raise MixdivError(f"integrand factor of {g.label} is not finite at atom {atom!r}")
     out.setflags(write=False)
     return out

@@ -41,6 +41,7 @@ from .errors import (
     NonpositiveArgument,
     ShapeMismatch,
 )
+from .measures import _first_invalid
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -89,7 +90,7 @@ class Generator:
         """Vectorized evaluation over strictly positive values; a value that
         is not finite (an overflow, say) raises MixdivError."""
         t = np.asarray(t, dtype=float)
-        if not (np.isfinite(t) & (t > 0.0)).all():
+        if _first_invalid(t) is not None:
             raise NonpositiveArgument("generator arguments must be finite and > 0")
         return self._evaluate(t)
 
@@ -97,9 +98,9 @@ class Generator:
         out = _KINDS[self.kind].evaluate(self, t)
         if self.scale != 1.0:
             out = self.scale * out
-        if not np.isfinite(out).all():
-            bad = t[~np.isfinite(out)][0]
-            raise MixdivError(f"generator {self.label} is not finite at t={float(bad)!r}")
+        idx = _first_invalid(out, positive=False)
+        if idx is not None:
+            raise MixdivError(f"generator {self.label} is not finite at t={float(t.flat[idx])!r}")
         return out
 
     @property

@@ -54,8 +54,12 @@ class SphereGrid:
 
     dimension: int
     nodes: np.ndarray
-    weights: np.ndarray
     space: MeasureSpace
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The quadrature weights: the space's own read-only array."""
+        return self.space.weights
 
     @property
     def n_nodes(self) -> int:
@@ -129,14 +133,13 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
         nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
         nodes[:, 2] = np.repeat(x, m_az)
         weights = np.outer(w, np.full(m_az, 2.0 * math.pi / m_az)).ravel()
-    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+    # row norms column by column as (x*x + y*y) + z*z, the bits of np.linalg.norm
+    norm2 = nodes[:, 0] * nodes[:, 0]
+    for column in nodes.T[1:]:
+        norm2 += column * column
+    nodes /= np.sqrt(norm2)[:, None]
     nodes.setflags(write=False)
-    return SphereGrid(
-        dimension=dimension,
-        nodes=nodes,
-        weights=weights,
-        space=make_space(weights),
-    )
+    return SphereGrid(dimension=dimension, nodes=nodes, space=make_space(weights))
 
 
 def support_values(body: EllipsoidBody, grid: SphereGrid) -> np.ndarray:

@@ -277,7 +277,8 @@ def test_invalid_density_exits_one_with_report(tmp_path):
     assert report["error"]["type"] == "NonpositiveDensity"
 
 
-#: input documents that malformed-input rows name by an "@name" argument
+#: input documents that malformed-input rows name by an "@name" argument;
+#: a string is the document's text as written
 BAD_DOCUMENTS = {
     "@overflowing_mass": {
         "mu": [1e308, 1e308], "pairs": [{"p": [1e-308, 1e-308], "q": [1e-308, 1e-308]}],
@@ -303,6 +304,10 @@ BAD_DOCUMENTS = {
     },
     # json.dumps writes the integer literal 1 followed by 400 zeros
     "@huge_int_density": {"mu": [1.0, 1.0], "pairs": [{"p": [10**400, 1.0], "q": [0.5, 0.5]}]},
+    # json.loads refuses integer literals of more than 4,300 digits with a ValueError
+    "@over_digit_limit": '{"mu":[1,1],"pairs":[{"p":[1%s,1],"q":[0.5,0.5]}]}' % ("0" * 5000),
+    # nesting beyond the recursion limit makes json.loads raise RecursionError
+    "@deep_nesting": "[" * 5000,
     # f(p/q) = 1e200 is finite but f(p/q) * q = 1e350 is not
     "@overflowing_factor": {
         "mu": [1e-100, 1.0],
@@ -353,6 +358,9 @@ BAD_DOCUMENTS = {
     ["geometry", "--resolution", "16"] + ["--body", '{"semi_axes":[1e300,1e300,1e300]}'] * 3,
     ["geometry", "--resolution", "16"] + ["--body", '{"semi_axes":[1%s,1,1]}' % ("0" * 400)] * 3,
     ["compute", "--f", '{"kind":"tv"}', "--input", "@huge_int_density"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@over_digit_limit"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@deep_nesting"],
+    ["geometry", "--input", "@deep_nesting"],
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
@@ -360,7 +368,7 @@ def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path
     for name, doc in BAD_DOCUMENTS.items():
         if name in argv:
             path = tmp_path / "bad.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             argv = [str(path) if a == name else a for a in argv]
     if argv[0] not in ("audit", "geometry") and "--input" not in argv:
         argv = argv + ["--input", fixture_path]
@@ -402,6 +410,9 @@ def test_help_lists_exactly_the_flags_each_command_reads(command, capsys):
     ["mixed", "--inp", "x.json"],
     ["bogus"],
     [],
+    ["compute", "--f", "[" * 5000],
+    ["geometry", "--body", "[" * 5000],
+    ["geometry", "--body", '{"semi_axes":[1%s]}' % ("0" * 5000)],
 ])
 def test_usage_error_exits_one_with_error_on_stdout(argv, capsys):
     assert main(argv) == 1

@@ -149,6 +149,11 @@ def test_eval_rejects_nonpositive():
         g.eval_array(np.array([1.0, 0.0]))
 
 
+def test_eval_array_of_no_arguments_is_empty():
+    for g in catalog_generators():
+        assert g.eval_array(np.array([])).shape == (0,), g.label
+
+
 @pytest.mark.parametrize("g, t", [
     (make_generator("power", alpha=1e308), 2.0),
     (make_generator("power", alpha=-400.0), 1e-10),

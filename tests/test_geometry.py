@@ -34,6 +34,35 @@ def test_sphere_grid_weight_sums():
     assert sphere_grid(3, 32).weights.sum() == pytest.approx(4 * math.pi, rel=1e-12)
 
 
+def test_grid_weights_are_the_spaces_read_only_array():
+    grid = sphere_grid(3, 8)
+    assert grid.weights is grid.space.weights
+    with pytest.raises(ValueError):
+        grid.weights[0] = 99.0
+    assert grid.space.weights[0] == grid.weights[0] != 99.0
+
+
+def _raw_nodes(dimension, resolution):
+    """The grid's nodes before normalization, built as sphere_grid builds them."""
+    if dimension == 2:
+        theta = 2.0 * math.pi * np.arange(resolution) / resolution
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    x, _ = np.polynomial.legendre.leggauss(resolution)
+    phi = 2.0 * math.pi * np.arange(2 * resolution) / (2 * resolution)
+    sin_polar = np.sqrt(1.0 - x**2)
+    return np.column_stack([np.outer(sin_polar, np.cos(phi)).ravel(),
+                            np.outer(sin_polar, np.sin(phi)).ravel(),
+                            np.repeat(x, 2 * resolution)])
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("resolution", [4, 5, 17, 64, 129, 256])
+def test_grid_nodes_match_linalg_norm_bit_for_bit(dimension, resolution):
+    raw = _raw_nodes(dimension, resolution)
+    want = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    assert np.array_equal(sphere_grid(dimension, resolution).nodes, want)
+
+
 def test_sphere_grid_nodes_are_unit():
     for dim in (2, 3):
         grid = sphere_grid(dim, 16)

@@ -1,12 +1,21 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdiv import integrate, make_space, make_vector, validate_density
+from mixdiv import (
+    f_divergence,
+    integrate,
+    make_generator,
+    make_space,
+    make_vector,
+    validate_density,
+)
+from mixdiv import measures
 from mixdiv.errors import (
     EmptySpace,
     LengthMismatch,
@@ -17,7 +26,7 @@ from mixdiv.errors import (
     SpaceMismatch,
 )
 
-from mixdiv.measures import _EXTRACT_CUTOVER, _SUM_BLOCK, _SUM_CHUNK, _exact_sum
+from mixdiv.measures import EPS_NORM, _EXTRACT_CUTOVER, _SUM_BLOCK, _SUM_CHUNK, _exact_sum
 
 from oracles import direct_integral
 
@@ -161,6 +170,104 @@ def test_make_vector_requires_shared_space():
 def test_space_value_equality():
     assert make_space([1.0, 2.0]) == make_space([1.0, 2.0])
     assert make_space([1.0, 2.0]) != make_space([2.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 5, 1000])
+def test_default_labels_are_built_on_first_read(n):
+    w = np.linspace(1.0, 2.0, n)
+    space, twin = make_space(w), make_space(w)
+    assert space == twin  # two default-labelled spaces compare weights alone
+    assert "atom_ids" not in vars(space) and "atom_ids" not in vars(twin)
+    assert space.atom_ids == tuple(range(n))
+    assert space.atom_ids is space.atom_ids  # cached
+    explicit = make_space(w, atom_ids=range(n))
+    assert space == explicit and explicit == space
+    assert make_space(w, atom_ids=range(1, n + 1)) != make_space(w)
+    assert make_space(w) != make_space(w, atom_ids=[str(j) for j in range(n)])
+    with pytest.raises(AttributeError):
+        space.atom_ids = ()
+
+
+@pytest.mark.parametrize("labels, named", [(None, "3"), (list("abcde"), "'d'")])
+def test_errors_name_the_atom_by_its_label(labels, named):
+    space = make_space(np.ones(5), atom_ids=labels)
+    values = np.full(5, 0.2)
+    values[3] = -1.0
+    with pytest.raises(NonpositiveDensity, match=f"density at atom {named} is"):
+        validate_density(space, values)
+    p, q = np.ones(5), np.ones(5)
+    p[3], q[3] = 1e250, 1e150  # f(p/q) * q = 1e350 for f = t**2
+    square = make_generator("power", alpha=2.0)
+    p, q = validate_density(space, p), validate_density(space, q)
+    with np.errstate(over="ignore"), pytest.raises(MixdivError, match=f"at atom {named}$"):
+        f_divergence(square, p, q)
+
+
+def test_make_space_retains_only_its_weights():
+    w = np.random.default_rng(3).uniform(0.5, 2.0, 10**6)
+    tracemalloc.start()
+    try:
+        space = make_space(w)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert space.n_atoms == w.size
+    assert retained < 1.5 * w.nbytes
+
+
+def _verdict(space, values):
+    try:
+        validate_density(space, values, require_prob=True)
+    except NotNormalized:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 1024, 10**5, 10**6])
+def test_certification_verdict_is_the_exact_integrals(n):
+    # the last atom has weight 1 and takes up the target minus the other
+    # atoms' integral (about 0.5, so the subtraction is exact): the exact
+    # integral is then within an ULP of each target. Targets a few ULP either
+    # side of 1 +- EPS_NORM need the exact fallback; the float sum alone
+    # accepts those well inside, and those well outside are refused.
+    rng = np.random.default_rng(n)
+    w, v = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 1.5, n)
+    w[-1] = 1.0
+    v[:-1] *= 0.5 / integrate(make_space(w[:-1]), v[:-1])
+    rest = integrate(make_space(w[:-1]), v[:-1])
+    perm = rng.permutation(n)
+    space, permuted = make_space(w), make_space(w[perm])
+    edges = [1.0 + side * EPS_NORM + k * math.ulp(1.0) for side in (-1, 1) for k in range(-4, 5)]
+    verdicts = []
+    for target in edges + [1.0, 1.0 - EPS_NORM / 2, 1.0 - 2 * EPS_NORM, 1.0 + 2 * EPS_NORM]:
+        v[-1] = target - rest
+        want = abs(integrate(space, v) - 1.0) <= EPS_NORM
+        assert _verdict(space, v) is want, target
+        assert _verdict(permuted, v[perm]) is want, target
+        verdicts.append(want)
+    assert verdicts[:len(edges)].count(True) >= 4 and verdicts[:len(edges)].count(False) >= 4
+
+
+def test_well_normalized_density_skips_the_exact_integral(monkeypatch):
+    rng = np.random.default_rng(5)
+    space = make_space(rng.uniform(0.5, 2.0, 10**4))
+    values = rng.uniform(0.5, 1.5, 10**4)
+    values /= integrate(space, values)
+
+    def exact(*args):
+        raise AssertionError("exact integral called")
+
+    monkeypatch.setattr(measures, "integrate", exact)
+    assert validate_density(space, values, require_prob=True).prob_certified
+
+
+def test_not_normalized_quotes_the_exact_total():
+    # a float sum in index order rounds each 2**-53 away (ties to even);
+    # the exact total keeps their sum 2**-52
+    space = make_space([1.0, 1.0, 1.0])
+    with pytest.raises(NotNormalized) as err:
+        validate_density(space, [1.5, 2.0**-53, 2.0**-53], require_prob=True)
+    assert str(err.value) == "density integrates to 1.5000000000000002, not 1"
 
 
 def _signed(rng, n):
