@@ -1,8 +1,9 @@
 """Divergence functionals for single pairs and vectors of measure pairs.
 
-All functionals integrate per-atom products of the basic building block
+All functionals integrate per-atom products of the basic building block,
+the perspective
 
-    w_i = f_i(p_i / q_i) * q_i        (one value per atom)
+    w_i = q_i * f_i(p_i / q_i)        (one value per atom)
 
 raised to various exponents:
 
@@ -14,27 +15,44 @@ raised to various exponents:
 * affinity dissimilarity        minus integral of prod_i p_i**a_i (densities as factors)
 * paired dissimilarity          the classical divergence of f, for paired(f)
 
-Each factor w_i is formed in linear space, and one that is not finite
-raises a typed error: a generator value that overflows names its argument
-(mu = (1, 1), P = (1e-300, 1), Q = (0.5, 0.5), f = (t**3, t**-3) has value
-1.0, but t**-3 overflows), and a finite generator value whose product with
-q overflows names the atom (mu = (1e-100, 1), P = (1e250, 1),
-Q = (1e150, 1), f = t**2). A factor that underflows to 0 drops its atom's
-share of the integral.
+Each factor is evaluated as its log, log w = log(q * f(p/q)), by the
+generator's log-perspective column (:meth:`Generator.log_perspective`):
+for a power, log q + alpha*(log p - log q). No overflow or underflow of p/q
+or of w loses a value: mu = (1, 1), P = (1e-300, 1), Q = (0.5, 0.5),
+f = (t**3, t**-3) has mixed divergence 1.0, and a factor far below the
+smallest float still counts. A log-factor that is +inf or NaN (a log beyond
+the float range, from an exponent near 1e308, say) raises a typed error
+that names the atom. Each :class:`PairTriple` caches its two log-factors.
 
-Products of powers are combined in log space, one ``exp`` per atom, so
-large exponents do not overflow the product. The combination is one loop
-over the factors in the order given, with exponent-0 factors skipped (so
-``0**0`` = 1): ``acc += e_i * log(w_i)``, elementwise. Every atom's term is
-therefore the same sequence of IEEE operations on that atom's own values,
-bit for bit the same however the atoms are batched or ordered. A zero factor
-has log -inf, so IEEE ``exp`` gives ``0**e`` = 0 for e > 0 and ``inf`` for
-e < 0 directly. The one undefined case, an atom with both a zero-to-positive
-and a zero-to-negative factor (-inf + inf = NaN), contributes 0. Exponents
-must be finite, with absolute values summing to at most 1e300: the log of a
-finite nonzero factor is below 745 in magnitude, so the weighted sum of such
-logs stays finite, and with nonnegative finite factors, which every
-functional here passes, no other NaN can arise.
+One private kernel integrates every functional. :func:`_integral` sums
+``acc += e_i * log(w_i)`` elementwise, one loop over the log-factors in the
+order given, with exponent-0 factors skipped (so ``0**0`` = 1).
+:func:`_exp_integral` then forms each atom's term exp(acc) * mu, one
+``exp`` per atom, and sums the terms exactly (f_divergence and paired
+dissimilarities, one factor to the power 1, enter here). Where exp(acc) is
+not a normal float but the term can be, that is, where it overflows or
+where it underflows at an atom of weight above 1, log mu is folded in
+before the ``exp``: the term is ((h * mu) * h) * h * h with h = exp(acc/4),
+and acc/4 is exact. So mu = (1e-100, 1), P = (1e250, 1), Q = (1e150, 1),
+f = t**2 has divergence about 1e250 although w = 1e350 at atom 0.
+
+Every atom's term is the same sequence of IEEE operations on that atom's
+own values, bit for bit the same however the atoms are batched or ordered.
+A zero factor has log -inf, so ``exp`` gives ``0**e`` = 0 for e > 0 and
+``inf`` for e < 0 directly. The one undefined case, an atom with both a
+zero-to-positive and a zero-to-negative factor (-inf + inf = NaN),
+contributes 0. Exponents must be finite, with absolute values summing to
+at most 1e300. A weighted log that overflows to -inf is a term of 0. A
+term that is inf or NaN at an atom where no factor is 0 or inf, from a
+weighted log that overflows to +inf or an ``exp`` beyond the float range
+even with log mu folded in, raises a typed error naming the atom; terms
+are nonnegative, so that happens only when the integral itself is beyond
+the float range (or a log-factor passed in is NaN).
+
+Each term carries the rounding of the logs it combines, a few units of
+2**-53 times their magnitudes: about 1e-15 relative for densities within
+e**+-10, and up to a few 1e-13 where logs near +-690 (densities near
+1e+-300) meet exponents such as 3.
 """
 
 from __future__ import annotations
@@ -55,13 +73,19 @@ from .errors import (
     ReferenceNotProbability,
     RenyiAlphaOne,
 )
-from .generators import Generator, MultivariateGenerator, adjoint, make_generator
+from .generators import (
+    _GATHER_MIN,
+    Generator,
+    MultivariateGenerator,
+    adjoint,
+    make_generator,
+)
 from .measures import (
     Density,
     MeasureSpace,
     MeasureVector,
-    _first_invalid,
-    integrate,
+    _atom_repr,
+    _sum_terms,
     same_space,
 )
 
@@ -72,7 +96,7 @@ PairOfDensities = tuple[Density, Density]
 class PairTriple:
     """One coordinate (f_i, P_i, Q_i) of a divergence vector.
 
-    Its two factor arrays are evaluated on first use and then shared,
+    Its two log-factor arrays are evaluated on first use and then shared,
     read-only, by every functional that reads the triple, for as long as
     the triple lives."""
 
@@ -88,17 +112,31 @@ class PairTriple:
         return self.p.space
 
     @cached_property
-    def integrand_factor(self) -> np.ndarray:
-        """Per-atom values of f(p/q) * q, read-only.
+    def log_integrand_factor(self) -> np.ndarray:
+        """Per-atom log(f(p/q) * q), read-only; -inf where the factor is 0.
 
-        Raises MixdivError, naming the atom, when a value is not finite."""
-        return _factor(self.generator, self.p, self.q)
+        Raises MixdivError, naming the atom, where the log is +inf or NaN."""
+        return _log_factor(self.generator, self.p, self.q)
 
     @cached_property
-    def adjoint_factor(self) -> np.ndarray:
-        """Per-atom values of the same quantity in adjoint form, f*(q/p) * p,
-        evaluated separately; read-only, and raises as :attr:`integrand_factor`."""
-        return _factor(adjoint(self.generator), self.q, self.p)
+    def log_adjoint_factor(self) -> np.ndarray:
+        """Per-atom log of the same quantity in adjoint form, log(f*(q/p) * p),
+        evaluated separately; read-only, and raises as :attr:`log_integrand_factor`."""
+        return _log_factor(adjoint(self.generator), self.q, self.p)
+
+    @cached_property
+    def integrand_factor(self) -> np.ndarray:
+        """Per-atom values of f(p/q) * q, read-only: the ``exp`` of
+        :attr:`log_integrand_factor`, formed only if something reads it.
+
+        Raises MixdivError, naming the atom, where a value is beyond the float range."""
+        with np.errstate(over="ignore"):
+            out = np.exp(self.log_integrand_factor)
+        if not out.max() < math.inf:
+            raise MixdivError(f"integrand factor of {self.generator.label} is not finite "
+                              f"at atom {_atom_repr(self.space, np.argmax(out))}")
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +158,13 @@ class IthMixedSpec:
         return self.pair1.space
 
 
-#: bound on the sum of |exponent| in weighted_product_integral; with every
-#: |log w| < 745 for finite w > 0, the weighted sum of logs stays finite
+#: bound on the sum of |exponent| in weighted_product_integral, which keeps
+#: the exponents finite; a weighted log that still overflows is handled per atom
 _EXPONENT_MASS_LIMIT = 1e300
+
+#: exp(acc) is a normal float for acc in [_LOG_LOW, _LOG_HIGH]; beyond them
+#: the kernel folds log mu in before the ``exp``
+_LOG_LOW, _LOG_HIGH = -708.0, 709.0
 
 
 def _check_base(n: int) -> None:
@@ -130,26 +172,23 @@ def _check_base(n: int) -> None:
         raise IndexOutOfRange(f"ambient exponent base n={n} must be >= 1")
 
 
-def _factor(g: Generator, num: Density, den: Density) -> np.ndarray:
-    """Read-only per-atom values of g(num/den) * den; a value that is not
-    finite raises."""
-    out = g.eval_array(num.values / den.values)
-    out *= den.values
-    idx = _first_invalid(out, positive=False)
-    if idx is not None:
-        atom = num.space.atom_ids[idx]
-        raise MixdivError(f"integrand factor of {g.label} is not finite at atom {atom!r}")
+def _log_factor(g: Generator, num: Density, den: Density) -> np.ndarray:
+    """Read-only per-atom log(g(num/den) * den); a log that is +inf or NaN raises."""
+    out = g.log_perspective(num.values, den.values)
+    if not out.max() < math.inf:
+        idx = np.flatnonzero(~(out < math.inf))[0]
+        raise MixdivError(f"log of the integrand factor of {g.label} is not finite "
+                          f"at atom {_atom_repr(num.space, idx)}")
     out.setflags(write=False)
     return out
 
 
 def weighted_product_integral(
-    space: MeasureSpace, factors: Sequence[np.ndarray], exponents: Sequence[float]
+    space: MeasureSpace, log_factors: Sequence[np.ndarray], exponents: Sequence[float]
 ) -> float:
-    """Integrate prod_i factors[i]**exponents[i] over the space, in log space.
-
-    The factors must be nonnegative and finite; see the module docstring for
-    the order of operations and the zero rules.
+    """Integrate prod_i w_i**exponents[i] over the space, each factor w_i given
+    by its natural log ``log_factors[i]`` (-inf for a zero factor); see the
+    module docstring for the order of operations and the zero rules.
 
     Raises
     ------
@@ -159,46 +198,84 @@ def weighted_product_integral(
         If a factor does not have one value per atom.
     IndexOutOfRange
         If an exponent is not finite or their absolute values sum beyond 1e300.
+    MixdivError
+        If the integral is beyond the float range, or a log-factor is NaN.
     """
-    return integrate(space, _product_terms(space, factors, exponents))
+    return _integral(space, log_factors, exponents)
 
 
-def _product_terms(space: MeasureSpace, factors: Sequence, exponents: Sequence) -> np.ndarray:
-    """Validate and form the per-atom terms of :func:`weighted_product_integral`."""
-    if len(factors) != len(exponents):
-        raise ArityMismatch(f"{len(factors)} factors vs {len(exponents)} exponents")
-    if not sum(abs(e) for e in exponents) <= _EXPONENT_MASS_LIMIT:
+def _integral(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) -> float:
+    """Integral of prod_i exp(exponents[i] * log_factors[i]); see the module docstring."""
+    if len(log_factors) != len(exponents):
+        raise ArityMismatch(f"{len(log_factors)} factors vs {len(exponents)} exponents")
+    if not sum(map(abs, exponents)) <= _EXPONENT_MASS_LIMIT:
         raise IndexOutOfRange(
             f"exponents {list(exponents)!r} must be finite, with absolute values "
             f"summing to at most {_EXPONENT_MASS_LIMIT:g}"
         )
-    acc = scratch = None
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf; -inf + inf
-        for w, e in zip(factors, exponents):
-            w = np.asarray(w, dtype=float)
-            if w.shape != space.weights.shape:
-                raise LengthMismatch(f"factor of {w.size} values for {space.n_atoms} atoms")
-            if e == 0.0:
-                continue
-            t = np.log(w, out=scratch)
-            t *= e
-            if acc is None:
-                acc = t
-            else:
-                acc += t
-                scratch = t
-    if acc is None:
-        return np.ones(space.n_atoms)
-    terms = np.exp(acc, out=acc)
-    terms[np.isnan(terms)] = 0.0
-    return terms
+    rows = []
+    for lw, e in zip(log_factors, exponents):
+        lw = np.asarray(lw, dtype=float)
+        if lw.shape != space.weights.shape:
+            raise LengthMismatch(f"factor of {lw.size} values for {space.n_atoms} atoms")
+        if e != 0.0:
+            rows.append((lw, e))
+    if not rows:
+        return space.total_mass
+    # -inf + inf is a zero factor to powers of both signs; an overflow to -inf
+    # is a term of 0, and _exp_integral rejects one to +inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = rows[0][0] * rows[0][1]
+        for lw, e in rows[1:]:
+            acc += lw * e
+    return _exp_integral(space, acc, [lw for lw, _ in rows])
+
+
+def _exp_integral(space: MeasureSpace, acc: np.ndarray, log_factors: Sequence) -> float:
+    """Integral of exp(acc), from the terms exp(acc) * mu; ``acc`` combines the
+    ``log_factors``. See the module docstring."""
+    mu, top = space.weights, acc.max()
+    if top <= _LOG_HIGH - max(0.0, math.log(space.total_mass)) and (
+            space.total_mass <= 1.0 or acc.min() >= _LOG_LOW):  # every term finite and near
+        if acc.size >= _GATHER_MIN and acc.min() == -math.inf:  # zero terms skip the exp
+            live = np.flatnonzero(acc > -math.inf)
+            terms = np.zeros(acc.size)
+            terms[live] = np.exp(acc[live]) * mu[live]
+        else:
+            terms = np.exp(acc)
+            terms *= mu
+        return _sum_terms(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(acc)
+        terms *= mu
+        far = np.isfinite(acc) & ((acc > _LOG_HIGH) | ((acc < _LOG_LOW) & (mu > 1.0)))
+        far = np.flatnonzero(far)
+        terms[far] = _exp_times(acc[far], mu[far])
+    lost = ~(terms < math.inf)  # inf or NaN: by the zero rules only where a factor is 0
+    for lw in log_factors:
+        lost &= ~np.isinf(lw)
+    if lost.any():
+        raise MixdivError("integral beyond the float range: term not finite "
+                          f"at atom {_atom_repr(space, np.flatnonzero(lost)[0])}")
+    terms[np.isnan(terms)] = 0.0  # a zero factor to a positive and a negative power
+    return _sum_terms(terms)
+
+
+def _exp_times(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """exp(a) * mu with log mu folded in before the ``exp``: a / 4 is exact, so
+    only the four factors exp(a / 4) and the products round (a few units of
+    2**-53), and the partial products stay normal wherever the term is."""
+    h = np.exp(0.25 * a)
+    return ((h * mu) * h) * h * h
 
 
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
     """Classical divergence: integral of f(p/q) * q.
 
-    Raises MixdivError, naming the atom, when f(p/q) * q is not finite."""
-    return integrate(same_space(p, q), _factor(g, p, q))
+    Raises MixdivError, naming the atom, when the integral is beyond the float
+    range or a log-factor is not finite."""
+    space, lw = same_space(p, q), _log_factor(g, p, q)
+    return _exp_integral(space, lw, [lw])
 
 
 def mixed_divergence(triples: Sequence[PairTriple]) -> float:
@@ -223,7 +300,8 @@ def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
         raise IndexOutOfRange(f"k={k} outside [0, {n}]")
     space = same_space(*(t.p for t in triples))
     factors = [
-        t.integrand_factor if idx < k else t.adjoint_factor for idx, t in enumerate(triples)
+        t.log_integrand_factor if idx < k else t.log_adjoint_factor
+        for idx, t in enumerate(triples)
     ]
     return weighted_product_integral(space, factors, [1.0 / n] * n)
 
@@ -248,8 +326,9 @@ def _ith_mixed_grid(
 
 def _ith_integrals(space: MeasureSpace, pair1: PairTriple, pair2: PairTriple,
                    indices: Sequence[float], n: int) -> list[float]:
-    w1, w2 = pair1.integrand_factor, pair2.integrand_factor
-    return [weighted_product_integral(space, [w1, w2], [i / n, 1.0 - i / n]) for i in indices]
+    factors = [pair1.log_integrand_factor, pair2.log_integrand_factor]
+    return [weighted_product_integral(space, factors, [i / n, 1.0 - i / n])
+            for i in indices]
 
 
 def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> float:
@@ -265,21 +344,22 @@ def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> f
             f"base measure has mass {space.total_mass!r}; the reference variant needs mass 1"
         )
     e1 = i / n
-    body = weighted_product_integral(space, [pair1.integrand_factor], [e1])
+    body = weighted_product_integral(space, [pair1.log_integrand_factor], [e1])
     return f2(1.0) ** (1.0 - e1) * body
 
 
 def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float:
     """Integral of g(p_1, ..., p_l) over the atoms: for an affinity, minus the
-    integral of the :func:`weighted_product_integral` terms of the densities;
+    integral of prod_i p_i**a_i, by the kernel of :func:`weighted_product_integral`;
     for g = paired(f) on (p, q), f_divergence(f, p, q) bit for bit, errors included.
     """
     if len(densities) != g.arity:
         raise ArityMismatch(f"generator arity {g.arity} vs {len(densities)} densities")
     space, dens = densities.space, densities.densities
     if g.generator is not None:
-        return integrate(space, _factor(g.generator, *dens))
-    return -integrate(space, _product_terms(space, [d.values for d in dens], g.exponents))
+        lw = _log_factor(g.generator, *dens)
+        return _exp_integral(space, lw, [lw])
+    return -_integral(space, [np.log(d.values) for d in dens], g.exponents)
 
 
 # --- named wrappers -------------------------------------------------------------

@@ -84,6 +84,12 @@ def _first_invalid(x: np.ndarray, positive: bool = True) -> Optional[int]:
     return int(np.flatnonzero(~valid)[0])
 
 
+def _atom_repr(space: "MeasureSpace", idx: int) -> str:
+    """The repr of atom ``idx``'s label, without building the default labels."""
+    idx = int(idx)
+    return repr(idx if space.labels is None else space.labels[idx])
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """A finite measure space: labelled atoms with positive weights.
@@ -180,7 +186,9 @@ def make_space(
         raise EmptySpace("a measure space needs at least one atom")
     idx = _first_invalid(arr)
     if idx is not None:
-        raise NonpositiveWeight(f"weight at index {idx} is {arr[idx]!r}; must be finite and > 0")
+        raise NonpositiveWeight(
+            f"weight at index {idx} is {float(arr[idx])!r}; must be finite and > 0"
+        )
     ids = None if atom_ids is None else tuple(atom_ids)
     if ids is not None and len(ids) != arr.size:
         raise LengthMismatch(f"{len(ids)} atom ids for {arr.size} weights")
@@ -210,7 +218,8 @@ def validate_density(
     idx = _first_invalid(arr)
     if idx is not None:
         raise NonpositiveDensity(
-            f"density at atom {space.atom_ids[idx]!r} is {arr[idx]!r}; must be finite and > 0"
+            f"density at atom {_atom_repr(space, idx)} is {float(arr[idx])!r}; "
+            "must be finite and > 0"
         )
     if require_prob and not _certainly_normalized(space, arr):
         total = integrate(space, arr)
@@ -240,8 +249,14 @@ def integrate(space: MeasureSpace, values: Sequence[float]) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.shape != space.weights.shape:
         raise LengthMismatch(f"{arr.size} values for {space.n_atoms} atoms")
+    return _sum_terms(arr * space.weights)
+
+
+def _sum_terms(terms: np.ndarray) -> float:
+    """The exactly rounded sum of an integral's per-atom terms; finite terms
+    whose sum overflows raise MixdivError."""
     try:
-        return _exact_sum(arr * space.weights)
+        return _exact_sum(terms)
     except OverflowError:
         raise MixdivError("the integral's finite terms sum beyond the float range") from None
 

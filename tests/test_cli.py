@@ -308,9 +308,9 @@ BAD_DOCUMENTS = {
     "@over_digit_limit": '{"mu":[1,1],"pairs":[{"p":[1%s,1],"q":[0.5,0.5]}]}' % ("0" * 5000),
     # nesting beyond the recursion limit makes json.loads raise RecursionError
     "@deep_nesting": "[" * 5000,
-    # f(p/q) = 1e200 is finite but f(p/q) * q = 1e350 is not
+    # f(p/q) * q = 1e350 at atom 0 with mu = (1, 1): the integral is beyond the float range
     "@overflowing_factor": {
-        "mu": [1e-100, 1.0],
+        "mu": [1.0, 1.0],
         "pairs": [{"p": [1e250, 1.0], "q": [1e150, 1.0]}] * 2,
     },
 }
@@ -375,6 +375,40 @@ def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["type"] and error["message"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["compute"], "f_divergence"),
+    (["mixed"], "mixed_divergence"),
+    (["ith", "--i", "3"], "ith_mixed"),
+])
+@pytest.mark.filterwarnings("error")
+def test_factor_beyond_float_range_in_a_finite_integral(argv, key, tmp_path):
+    import mpmath
+
+    # f(p/q) * q = 1e350 at atom 0 overflows, but mu_0 * 1e350 = 1e250 does not
+    doc = {"mu": [1e-100, 1.0], "pairs": [{"p": [1e250, 1.0], "q": [1e150, 1.0]}] * 2}
+    path, out = tmp_path / "doc.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    argv = argv + ["--f", '{"kind":"power","alpha":2}', "--input", str(path), "--output", str(out)]
+    assert main(argv) == 0
+    got = json.loads(out.read_text())["values"][key]
+    with mpmath.workprec(200):
+        want = mpmath.mpf(1e-100) * mpmath.mpf(1e250) ** 2 / mpmath.mpf(1e150) + 1
+        for value in got if isinstance(got, list) else [got]:
+            assert abs(mpmath.mpf(value) / want - 1) <= 1e-13, (value, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weighted_log_overflowing_to_minus_inf_is_a_zero_term(tmp_path):
+    # 1.5 * 1e308 * log 0.2 overflows to -inf at atom 0: that term is 0
+    doc = {"mu": [1, 1], "pairs": [{"p": [0.2, 1], "q": [1, 1]}, {"p": [1, 1], "q": [1, 1]}]}
+    path, out = tmp_path / "doc.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    argv = ["ith", "--i", "3", "--f", '{"kind":"power","alpha":1e308}',
+            "--input", str(path), "--output", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["values"]["ith_mixed"] == [1.0]
 
 
 #: command -> the flags it accepts, besides --help

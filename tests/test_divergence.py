@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from mixdiv import (
 )
 from mixdiv import divergence
 from mixdiv.divergence import weighted_product_integral
+from mixdiv.generators import scale_generator
 from mixdiv.errors import (
     ArityMismatch,
     IndexOutOfRange,
@@ -232,13 +234,13 @@ def _convex_probability_triples(seed):
 
 def test_order_change_row_evaluates_each_factor_once(monkeypatch):
     passes = []
-    eval_array = Generator.eval_array
+    log_perspective = Generator.log_perspective
 
-    def counted(self, t):
+    def counted(self, x, y):
         passes.append(self.label)
-        return eval_array(self, t)
+        return log_perspective(self, x, y)
 
-    monkeypatch.setattr(Generator, "eval_array", counted)
+    monkeypatch.setattr(Generator, "log_perspective", counted)
     triples = _convex_probability_triples(0)
     n = len(triples)
     for k in range(n + 1):
@@ -248,7 +250,7 @@ def test_order_change_row_evaluates_each_factor_once(monkeypatch):
 
 def test_factors_are_shared_read_only_arrays():
     t = _convex_probability_triples(1)[0]
-    for name in ("integrand_factor", "adjoint_factor"):
+    for name in ("log_integrand_factor", "log_adjoint_factor"):
         w = getattr(t, name)
         assert getattr(t, name) is w
         with pytest.raises(ValueError):
@@ -412,10 +414,11 @@ def test_log_space_handles_extreme_indices():
 
 def test_weighted_product_integral_zero_rules():
     space = make_space([1.0, 1.0])
-    w_zero = np.array([0.0, 2.0])
-    w_pos = np.array([3.0, 4.0])
-    w_zero_one = np.array([0.0, 1.0])
-    # (factors, exponents, expected integral over mu = (1, 1), relative
+    # the factors (0, 2), (3, 4) and (0, 1), given by their logs
+    w_zero = np.array([-math.inf, math.log(2.0)])
+    w_pos = np.log([3.0, 4.0])
+    w_zero_one = np.array([-math.inf, 0.0])
+    # (log-factors, exponents, expected integral over mu = (1, 1), relative
     # tolerance); a tolerance of 0 asks for the exact value
     table = [
         ([w_zero], [0.0], 2.0, 0.0),  # 0**0 = 1
@@ -435,8 +438,8 @@ def test_weighted_product_integral_zero_rules():
         else:
             _rel_eq(got, want, rel=rel)
     for factors, exponents, error in [
-        ([w_pos, np.ones(3)], [0.5, 0.5], LengthMismatch),
-        ([np.ones(3)], [0.0], LengthMismatch),
+        ([w_pos, np.zeros(3)], [0.5, 0.5], LengthMismatch),
+        ([np.zeros(3)], [0.0], LengthMismatch),
         ([w_pos], [0.5, 0.5], ArityMismatch),
         ([w_pos], [math.nan], IndexOutOfRange),
         ([w_pos, w_pos], [math.inf, -math.inf], IndexOutOfRange),
@@ -447,15 +450,15 @@ def test_weighted_product_integral_zero_rules():
 
 
 def _term_spy(monkeypatch):
-    """Record the per-atom terms each divergence hands to ``integrate``."""
+    """Record the per-atom terms each divergence hands to the exact sum."""
     captured = []
-    real = divergence.integrate
+    real = divergence._sum_terms
 
-    def spy(space, values):
-        captured.append(np.array(values, dtype=float))
-        return real(space, values)
+    def spy(terms):
+        captured.append(np.array(terms, dtype=float))
+        return real(terms)
 
-    monkeypatch.setattr(divergence, "integrate", spy)
+    monkeypatch.setattr(divergence, "_sum_terms", spy)
     return captured
 
 
@@ -510,6 +513,30 @@ def test_per_atom_terms_independent_of_batch_and_position(name, monkeypatch):
     assert np.array_equal(captured[-1], batch[perm])
 
 
+def test_gathered_terms_match_single_atoms(monkeypatch):
+    # from _GATHER_MIN atoms on, zero factors skip the log and the exp; each
+    # term must still be the one its atom gives alone
+    from mixdiv.generators import _GATHER_MIN
+
+    rng = np.random.default_rng(20261019)
+    atoms = _GATHER_MIN + 64
+    space = make_space(rng.uniform(0.25, 2.0, atoms))
+
+    def dens():
+        return validate_density(space, np.exp(rng.uniform(-3.0, 3.0, atoms)))
+
+    triples = [PairTriple(make_generator(kind), dens(), dens()) for kind in ("kl+", "tv", "sqrt")]
+    captured = _term_spy(monkeypatch)
+    sample = rng.choice(atoms, 48, replace=False)
+    for evaluate in (mixed_divergence, lambda ts: f_divergence(ts[0].generator, ts[0].p, ts[0].q)):
+        evaluate(triples)
+        batch = captured[-1]
+        assert np.count_nonzero(batch == 0.0) > atoms // 4  # the kl zeros took the gathered path
+        for j in sample:
+            evaluate(_restrict(triples, [j]))
+            assert captured[-1][0] == batch[j], j
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_products_of_powers_match_mpmath(seed):
     # imported here so the rest of the module is collected without it
@@ -529,9 +556,9 @@ def test_products_of_powers_match_mpmath(seed):
         mixed_want = mpmath.fsum(
             m * mpmath.fprod(col) ** (mpmath.mpf(1) / 6) for m, col in zip(mu, zip(*direct))
         )
-        # the combination alone, on the engine's own double factors
-        factors = [t.integrand_factor for t in triples]
-        exact = [[mpmath.mpf(float(v)) for v in f] for f in factors]
+        # the combination alone, on the engine's own double log-factors
+        factors = [t.log_integrand_factor for t in triples]
+        exact = [[mpmath.exp(mpmath.mpf(float(v))) for v in f] for f in factors]
         wpi_want = mpmath.fsum(
             m * mpmath.fprod(w ** mpmath.mpf(e) for w, e in zip(col, exponents))
             for m, col in zip(mu, zip(*exact))
@@ -544,28 +571,224 @@ def test_products_of_powers_match_mpmath(seed):
             assert abs(mpmath.mpf(got) / want - 1) <= 1e-13, (got, want)
 
 
-def _overflow_triple():
-    # f(p/q) = 1e200 is finite, but f(p/q) * q = 1e350 is not; the true
-    # divergence is about 1e250 (the second atom contributes 1)
-    space = make_space([1e-100, 1.0])
+def _overflow_triple(mu0):
+    # f(p/q) = 1e200 is finite, but f(p/q) * q = 1e350 is not; the divergence
+    # is about mu0 * 1e350 (the second atom contributes 1)
+    space = make_space([mu0, 1.0])
     p = validate_density(space, [1e250, 1.0])
     q = validate_density(space, [1e150, 1.0])
     return PairTriple(make_generator("power", alpha=2.0), p, q)
 
 
-def test_overflowing_integrand_factor_is_typed():
-    t = _overflow_triple()
-    cases = [
-        lambda: t.integrand_factor,
-        lambda: t.adjoint_factor,
+def _overflow_cases(t):
+    return [
         lambda: f_divergence(t.generator, t.p, t.q),
         lambda: mixed_divergence([t, t]),
         lambda: mixed_divergence_k([t, t], 0),
         lambda: ith_mixed(IthMixedSpec(t, t, i=3.0, n=2)),
+        lambda: f_dissimilarity(paired(t.generator), make_vector([t.p, t.q])),
     ]
-    for case in cases:
+
+
+def test_overflowing_integrand_factor_is_typed():
+    import mpmath
+
+    # a factor beyond the float range, in an integral within it: every
+    # functional gives the value, and only the linear factor itself raises
+    t = _overflow_triple(1e-100)
+    with mpmath.workprec(200):
+        mu, p, q = ([mpmath.mpf(float(v)) for v in arr]
+                    for arr in (t.space.weights, t.p.values, t.q.values))
+        want = mpmath.fsum(m * b * (a / b) ** 2 for m, a, b in zip(mu, p, q))
+        for case in _overflow_cases(t):
+            got = case()
+            assert abs(mpmath.mpf(got) / want - 1) <= 1e-13, (got, want)
+    assert np.isfinite(t.log_integrand_factor).all() and np.isfinite(t.log_adjoint_factor).all()
+    with pytest.raises(MixdivError, match="integrand factor of power.2. is not finite at atom 0"):
+        t.integrand_factor
+    # the same factor with mu = (1, 1): the integral, about 1e350, is beyond range
+    t = _overflow_triple(1.0)
+    for case in _overflow_cases(t):
         with pytest.raises(MixdivError, match="not finite at atom 0"):
             case()
+
+
+# --- the log-factor engine over the whole float range ------------------------------------
+
+def test_factor_beyond_float_range_reproducers():
+    import mpmath
+
+    space = make_space([1.0, 1.0])
+
+    def dens(values):
+        return validate_density(space, values)
+
+    # t**3 and t**-3 at p/q = 2e-300: t**-3 alone overflows, the product is q**2
+    p, q = dens([1e-300, 1.0]), dens([0.5, 0.5])
+    cube = [PairTriple(make_generator("power", alpha=a), p, q) for a in (3.0, -3.0)]
+    _rel_eq(mixed_divergence(cube), 1.0, rel=1e-13)
+    # the linear factor 1e-330 underflows, but sqrt(1e-330 * 2.2e-103**-3) = 9.7e-12 counts
+    one = dens([1.0, 1.0])
+    under = [PairTriple(make_generator("power", alpha=3.0), dens([1e-110, 1.0]), one),
+             PairTriple(make_generator("power", alpha=-3.0), dens([2.2e-103, 1.0]), one)]
+    with mpmath.workprec(200):
+        want = 1 + mpmath.sqrt(mpmath.mpf(1e-110) ** 3 / mpmath.mpf(2.2e-103) ** 3)
+        assert abs(mpmath.mpf(mixed_divergence(under)) / want - 1) <= 1e-15
+    assert mixed_divergence(under) > 1.0 + 9.6e-12
+    # p/q = 1e600 overflows, but sqrt(p * q) = 1
+    assert f_divergence(make_generator("sqrt"), dens([1e300, 1.0]), dens([1e-300, 1.0])) == 2.0
+
+
+def test_overflowing_log_terms_are_typed():
+    # e * log w overflowing to +inf at an atom with no zero factor raises, as
+    # does a sum of such overflows of both signs; a zero factor's inf stays
+    space = make_space([1.0, 1.0])
+    with pytest.raises(MixdivError, match="beyond the float range: term not finite at atom 0"):
+        weighted_product_integral(space, [np.array([7e8, 0.0])], [1e300])
+    with pytest.raises(MixdivError, match="beyond the float range: term not finite at atom 1"):
+        weighted_product_integral(space, [np.array([0.0, 1e9]), np.array([0.0, -1e9])],
+                                  [5e299, 5e299])
+    assert weighted_product_integral(space, [np.array([-math.inf, 0.0])], [-1.0]) == math.inf
+    # a NaN log-factor (the log of a negative number, say) is no zero factor either
+    with pytest.raises(MixdivError, match="term not finite at atom 0"):
+        weighted_product_integral(space, [np.array([math.nan, 0.0])], [0.5])
+
+
+def test_log_term_overflowing_to_minus_inf_is_zero():
+    # log w = 1e308 * log 0.2 = -1.6e308 at atom 0; times 1.5 it overflows to
+    # -inf, an underflowed term whose value is 0, so the integral is 1
+    space = make_space([1.0, 1.0])
+    g = make_generator("power", alpha=1e308)
+    one = validate_density(space, [1.0, 1.0])
+    pair1 = PairTriple(g, validate_density(space, [0.2, 1.0]), one)
+    assert ith_mixed(IthMixedSpec(pair1, PairTriple(g, one, one), i=3.0, n=2)) == 1.0
+
+
+@pytest.mark.parametrize("alpha", [1e17, 3.0, -0.5])
+def test_power_on_the_diagonal_is_q(alpha):
+    # q * (p/q)**alpha = q where p = q, for any alpha: the log-factor is log q exactly
+    rng = np.random.default_rng(4)
+    space = make_space(rng.uniform(0.5, 2.0, 8))
+    p = validate_density(space, rng.uniform(0.5, 2.0, 8))
+    g = make_generator("power", alpha=alpha)
+    assert np.array_equal(PairTriple(g, p, p).log_integrand_factor, np.log(p.values))
+    _rel_eq(f_divergence(g, p, p), integrate(space, p.values), rel=1e-15)
+
+
+def test_kl_near_the_diagonal_keeps_its_digits():
+    import mpmath
+
+    space = make_space([1.0])
+    p, q = 5.0 * (1.0 + 1e-10), 5.0
+    got = f_divergence(make_generator("kl+"), validate_density(space, [p]),
+                       validate_density(space, [q]))
+    with mpmath.workprec(200):
+        want = mpmath.mpf(p) * mpmath.log(mpmath.mpf(p) / mpmath.mpf(q))
+        assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (got, want)
+
+
+def _extreme_catalog():
+    """name -> (generator, q * f(p/q) in mpmath, alpha of a power perspective or None)."""
+    import mpmath
+
+    mp = mpmath.mpf
+    table = {
+        "tv": (make_generator("tv"), lambda p, q: abs(p - q), None),
+        "kl+": (make_generator("kl+"), lambda p, q: p * mpmath.log(p / q) if p > q else mp(0), None),
+        "linear": (make_generator("linear", a=0.3, b=1.7),
+                   lambda p, q: mp(0.3) * p + mp(1.7) * q, None),
+        "scaled": (scale_generator(make_generator("power", alpha=0.75), 2.5),
+                   lambda p, q: mp(2.5) * q * (p / q) ** mp(0.75), 0.75),
+        # a custom generator sees p/q itself, and its adjoint 1 + t**2 the square of
+        # q/p, so instances with one keep their densities within 1e+-75
+        "custom": (make_generator("custom", fn=lambda t: t + 1.0 / t, shape="convex", positive=True),
+                   lambda p, q: p + q * q / p, None),
+    }
+    for a in (-0.5, 0.25, 0.5, 0.75, 2.0, 3.0):
+        table[f"power({a:g})"] = (make_generator("power", alpha=a),
+                                  lambda p, q, a=a: q * (p / q) ** mp(a), a)
+    return table
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_extreme_range_matches_mpmath(seed):
+    """Densities log-uniform over 1e+-300, every generator kind, every functional.
+
+    A value within the float range agrees with its 200-bit value within the
+    rounding of the logs it combines: per atom, each of the about n + 4
+    rounded operations that touch a log errs by at most 2**-53 times
+    S = |log mu| + sum_i |e_i| * (|log q_i| + |a_i| * (|log p_i| + |log q_i|)),
+    with a_i the power's alpha (1 for every other kind). That is 1e-13
+    relative or better wherever logs stay below about 100, and up to a few
+    1e-13 where logs near 690 meet exponents such as 3. One factor of a kind
+    other than power agrees within 1e-13 at any size. A value beyond the
+    float range raises a typed error.
+    """
+    import mpmath
+
+    catalog = _extreme_catalog()
+    rng = np.random.default_rng(seed)
+    atoms, n = int(rng.integers(2, 17)), int(rng.integers(1, 5))
+    names = [str(x) for x in rng.choice(sorted(catalog), n)]
+    span = 75.0 if "custom" in names else 300.0
+    mu = 10.0 ** rng.uniform(-50.0, 50.0, atoms)
+    space = make_space(mu / math.fsum(mu.tolist()))
+    values = [10.0 ** rng.uniform(-span, span, atoms) for _ in range(2 * n)]
+    dens = [validate_density(space, v) for v in values]
+    triples = [PairTriple(catalog[nm][0], dens[2 * j], dens[2 * j + 1]) for j, nm in enumerate(names)]
+
+    def size(j):  # |log q| + |a| * (|log p| + |log q|) per atom, as in the docstring
+        a = catalog[names[j]][2]
+        lp, lq = np.abs(np.log(values[2 * j])), np.abs(np.log(values[2 * j + 1]))
+        return lq + abs(1.0 if a is None else a) * (lp + lq)
+
+    with mpmath.workprec(200):
+        mp_mu = [mpmath.mpf(float(m)) for m in space.weights]
+        mp_w = [[catalog[nm][1](mpmath.mpf(float(p)), mpmath.mpf(float(q)))
+                 for p, q in zip(values[2 * j], values[2 * j + 1])] for j, nm in enumerate(names)]
+
+        def exact(cols, exponents):
+            return mpmath.fsum(
+                m * mpmath.fprod(c[a] ** e for c, e in zip(cols, exponents) if e != 0)
+                if all(c[a] != 0 or e > 0 for c, e in zip(cols, exponents) if e != 0) else 0
+                for a, m in enumerate(mp_mu))
+
+        def check(compute, cols, exponents, sizes, single=False):
+            want = exact(cols, [mpmath.mpf(e) for e in exponents])
+            if want > mpmath.mpf(sys.float_info.max):
+                with pytest.raises(MixdivError):
+                    compute()
+                return
+            if want < mpmath.mpf(sys.float_info.min):
+                return
+            got = compute()
+            s = np.abs(np.log(space.weights)) + sum(abs(float(e)) * z for e, z in zip(exponents, sizes))
+            bound = 1e-14 + (sum(1 for e in exponents if e != 0) + 4) * 2.0**-53 * float(s.max())
+            if single:
+                bound = min(bound, 1e-13)
+            assert abs(mpmath.mpf(got) / want - 1) <= bound, (got, want, bound)
+
+        for j, t in enumerate(triples):
+            single = catalog[names[j]][2] is None
+            check(lambda: f_divergence(t.generator, t.p, t.q), [mp_w[j]], [1], [size(j)], single)
+            check(lambda: f_dissimilarity(paired(t.generator), make_vector([t.p, t.q])),
+                  [mp_w[j]], [1], [size(j)], single)
+        third = mpmath.mpf(1) / n
+        sizes = [size(j) for j in range(n)]
+        check(lambda: mixed_divergence(triples), mp_w, [third] * n, sizes)
+        k = int(rng.integers(0, n + 1))
+        check(lambda: mixed_divergence_k(triples, k), mp_w, [third] * n, sizes)
+        i = float(rng.uniform(0.0, 2.0))
+        if n >= 2:
+            check(lambda: ith_mixed(IthMixedSpec(triples[0], triples[1], i=i, n=2)),
+                  mp_w[:2], [mpmath.mpf(i) / 2, 1 - mpmath.mpf(i) / 2], sizes[:2])
+        check(lambda: ith_mixed_reference(triples[0], i, 2, make_generator("power", alpha=2.0)),
+              mp_w[:1], [mpmath.mpf(i) / 2], sizes[:1])
+        arity = min(3, 2 * n)
+        cols = [[mpmath.mpf(float(v)) for v in values[a]] for a in range(arity)]
+        check(lambda: -f_dissimilarity(matusita_affinity(arity), make_vector(dens[:arity])),
+              cols, [mpmath.mpf(1) / arity] * arity,
+              [np.abs(np.log(values[a])) for a in range(arity)])
 
 
 # --- reference-measure variant ------------------------------------------------------------
@@ -647,12 +870,11 @@ def test_affinities_match_direct_oracle_and_atom_reversal(seed):
 
 
 def test_paired_overflow_raises_as_f_divergence():
-    t = _overflow_triple()
-    with np.errstate(over="ignore"):
-        with pytest.raises(MixdivError) as want:
-            f_divergence(t.generator, t.p, t.q)
-        with pytest.raises(MixdivError) as got:
-            f_dissimilarity(paired(t.generator), make_vector([t.p, t.q]))
+    t = _overflow_triple(1.0)
+    with pytest.raises(MixdivError) as want:
+        f_divergence(t.generator, t.p, t.q)
+    with pytest.raises(MixdivError) as got:
+        f_dissimilarity(paired(t.generator), make_vector([t.p, t.q]))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 

@@ -215,6 +215,35 @@ def test_make_space_retains_only_its_weights():
     assert retained < 1.5 * w.nbytes
 
 
+def test_error_paths_build_no_atom_labels():
+    n = 10**6
+    space = make_space(np.ones(n))
+    bad = np.ones(n)
+    bad[n - 1] = -1.0
+    p, q = np.ones(n), np.ones(n)
+    p[n - 2], q[n - 2] = 1e300, 1e-300
+    p, q = validate_density(space, p), validate_density(space, q)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonpositiveDensity, match=f"density at atom {n - 1} is -1.0;"):
+            validate_density(space, bad)
+        # the log of the factor is 1e308 * 1381, beyond the float range
+        with pytest.raises(MixdivError, match=f"at atom {n - 2}$"):
+            f_divergence(make_generator("power", alpha=1e308), p, q)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "atom_ids" not in vars(space)
+    assert retained < 2**20
+
+
+def test_error_messages_print_plain_floats():
+    with pytest.raises(NonpositiveWeight, match=r"weight at index 1 is -1\.0;"):
+        make_space([1.0, -1.0])
+    with pytest.raises(NonpositiveDensity, match=r"density at atom 0 is 0\.0;"):
+        validate_density(make_space(np.ones(2)), np.array([0.0, 1.0]))
+
+
 def _verdict(space, values):
     try:
         validate_density(space, values, require_prob=True)
