@@ -7,7 +7,8 @@ conditions (proportional integrands, identical densities, linear
 generators), ``equality_observed`` measures whether the slack actually
 vanished. Prediction is one-directional: a detected condition must force
 equality, but observed equality without a detected condition is reported,
-never raised.
+never raised. A side, or a power inside one, that is beyond the float range
+raises a MixdivError that names the check.
 
 Chain checks (the concave product bound) conjoin the per-link verdicts into
 ``holds``; the individual link slacks are kept in ``detail``.
@@ -30,9 +31,9 @@ from .divergence import (
     IthMixedSpec,
     PairTriple,
     _ith_mixed_grid,
+    _unit_pair,
     f_divergence,
     ith_mixed,
-    ith_mixed_reference,
     mixed_divergence,
     mixed_divergence_k,
 )
@@ -120,6 +121,8 @@ def _report(
 ) -> AuditReport:
     lhs = float(lhs)
     rhs = float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise MixdivError(f"{name}: side beyond the float range (lhs {lhs!r}, rhs {rhs!r})")
     slack = rhs - lhs
     holds = bool(slack >= -tol.ineq * max(1.0, abs(rhs))) and bool(extra_holds)
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -135,6 +138,14 @@ def _report(
         tolerances=tol,
         detail=detail,
     )
+
+
+def _power(check: str, base: float, exponent: float) -> float:
+    """base**exponent for a side of ``check``; MixdivError where it leaves the float range."""
+    try:
+        return math.pow(base, exponent)
+    except (OverflowError, ValueError):  # ValueError: 0 to a negative power
+        raise MixdivError(f"{check}: {base!r}**{exponent!r} is beyond the float range") from None
 
 
 def _tagged(report: AuditReport, **meta) -> AuditReport:
@@ -274,7 +285,7 @@ def check_alexandrov_fenchel(
     substituted = [
         mixed_divergence(build_nk(triples, m, k)) for k in range(n - m + 1, n + 1)
     ]
-    lhs = base**m
+    lhs = _power("alexandrov_fenchel", base, m)
     rhs = math.prod(substituted)
 
     factors = [t.integrand_factor for t in triples]
@@ -323,7 +334,7 @@ def check_concave_upper(
     _require_prob(triples, "the concave product chain")
 
     base = mixed_divergence(triples)
-    lhs = base**n
+    lhs = _power("concave_product_chain", base, n)
     pair_divergences = [f_divergence(t.generator, t.p, t.q) for t in triples]
     middle = math.prod(pair_divergences)
     rhs = math.prod(t.generator(1.0) for t in triples)
@@ -494,8 +505,9 @@ def check_corollary(
     """Audit one endpoint corollary: [D(index)]^n against
     f1(1)**index * f2(1)**(n-index).
 
-    Cases (``ref_*`` use the base-measure variant and need mass-1 spaces,
-    the others need a second triple):
+    Cases (``ref_*`` take f2 and use the unit pair (f2, 1, 1), the base
+    measure, as the second triple, on a mass-1 space; the others need a
+    second triple):
 
     * ``concave_0_i_n``        both concave, 0 <= index <= n, bound from above
     * ``ref_concave``          f1 concave, 0 <= index <= n, bound from above
@@ -516,32 +528,29 @@ def check_corollary(
     if row.reference:
         if f2 is None:
             raise MixdivError(f"case {case!r} needs the f2 generator")
-        _require_shape(f2, row.pool2, "f2")
-        _require_prob([pair1], "the corollary audit")
-        value = ith_mixed_reference(pair1, index, n, f2)
-        # the base measure stands in for the second pair as the density 1
-        pairs, base = [pair1], [np.ones(pair1.space.n_atoms)]
-    else:
-        if pair2 is None:
-            raise MixdivError(f"case {case!r} needs a second triple")
-        f2 = pair2.generator
-        _require_shape(f2, row.pool2, "f2")
-        pairs, base = [pair1, pair2], []
-        _require_prob(pairs, "the corollary audit")
-        value = ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
-    powered = value**n
-    bound = f2(1.0) ** (n - index) * f1(1.0) ** index
+        pair2 = _unit_pair(pair1.space, f2)
+    elif pair2 is None:
+        raise MixdivError(f"case {case!r} needs a second triple")
+    f2 = pair2.generator
+    _require_shape(f2, row.pool2, "f2")
+    pairs = [pair1, pair2]
+    _require_prob(pairs, "the corollary audit")
+    value = ith_mixed(IthMixedSpec(pair1, pair2, i=index, n=n))
+    check = f"corollary_{case}"
+    powered = _power(check, value, n)
+    bound = _power(check, f2(1.0), n - index) * _power(check, f1(1.0), index)
     lhs, rhs = (powered, bound) if row.upper else (bound, powered)
 
-    gens = [t.generator for t in pairs]
+    # the unit pair's factor is the constant f2(1), whatever f2's shape
+    gens = [f1] if row.reference else [f1, f2]
     basis, expected = "none", False
     if row.linear_remark and all(g.kind == "linear" for g in gens):
         basis = "linear-remark"
         mixes = [t.integrand_factor / t.generator(1.0) for t in pairs]
-        expected = _agree(mixes + base, tolerances.prop)
+        expected = _agree(mixes, tolerances.prop)
     elif all(g.strict for g in gens):
         basis = "strict"
-        expected = _agree(base + [d.values for t in pairs for d in (t.p, t.q)], tolerances.prop)
+        expected = _agree([d.values for t in pairs for d in (t.p, t.q)], tolerances.prop)
     detail = {
         "case": case,
         "n": int(n),
@@ -550,7 +559,7 @@ def check_corollary(
         "bound": float(bound),
         "equality_basis": basis,
     }
-    return _report(f"corollary_{case}", lhs, rhs, tolerances, expected, detail)
+    return _report(check, lhs, rhs, tolerances, expected, detail)
 
 
 # --- randomized suite --------------------------------------------------------------
@@ -753,8 +762,7 @@ def _corollary_at_equality(case: str, rng, config: AuditConfig, n: int, p: Densi
     _, draw_range = _INDEX_RULES[row.index_rule](n)
     if row.reference:
         prob_space = _rand_space(rng, probability=True)
-        unit = validate_density(prob_space, np.ones(prob_space.n_atoms), require_prob=True)
-        pair1 = PairTriple(_rand_generator(rng, "strict_concave"), unit, unit)
+        pair1 = _unit_pair(prob_space, _rand_generator(rng, "strict_concave"))
         index = float(rng.uniform(*draw_range))
         second = {"f2": _rand_generator(rng, row.pool2)}
     else:

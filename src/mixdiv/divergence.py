@@ -11,7 +11,10 @@ raised to various exponents:
 * mixed divergence              integral of prod_i w_i**(1/n) over n pairs
 * order-k variant               first k factors direct, rest in adjoint form
 * i-th mixed divergence         two pairs with exponents i/n and (n-i)/n
-* reference variant             second pair replaced by the base measure
+* reference variant             the i-th divergence against the base measure:
+                                its second pair is (f2, 1, 1), whose factor is
+                                the constant f2(1), through the same kernel
+                                (f2(1)**(1 - i/n) is never formed on its own)
 * affinity dissimilarity        minus integral of prod_i p_i**a_i (densities as factors)
 * paired dissimilarity          the classical divergence of f, for paired(f)
 
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,6 +90,7 @@ from .measures import (
     _atom_repr,
     _sum_terms,
     same_space,
+    validate_density,
 )
 
 PairOfDensities = tuple[Density, Density]
@@ -313,7 +317,7 @@ def ith_mixed(spec: IthMixedSpec) -> float:
     (i = 0 gives pair2, i = n gives pair1), and the index satisfies the
     duality D((f1,f2), (P1,P2), (Q1,Q2); i) = D((f2,f1), (P2,Q2), (P1,Q1); n-i).
     """
-    return _ith_integrals(spec.space, spec.pair1, spec.pair2, [spec.i], spec.n)[0]
+    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0]
 
 
 def _ith_mixed_grid(
@@ -321,31 +325,32 @@ def _ith_mixed_grid(
 ) -> list[float]:
     """:func:`ith_mixed` at each index, with n and the space checked once."""
     _check_base(n)
-    return _ith_integrals(same_space(pair1.p, pair2.p), pair1, pair2, indices, n)
-
-
-def _ith_integrals(space: MeasureSpace, pair1: PairTriple, pair2: PairTriple,
-                   indices: Sequence[float], n: int) -> list[float]:
+    space = same_space(pair1.p, pair2.p)
     factors = [pair1.log_integrand_factor, pair2.log_integrand_factor]
     return [weighted_product_integral(space, factors, [i / n, 1.0 - i / n])
             for i in indices]
 
 
-def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> float:
-    """i-th mixed divergence against the base measure:
-    f2(1)**(1 - i/n) * integral of w1**(i/n).
-
-    Requires the underlying space to be a probability space.
-    """
-    _check_base(n)
-    space = pair1.space
+def _unit_pair(space: MeasureSpace, f2: Generator) -> PairTriple:
+    """The base measure as the pair (f2, 1, 1) on a probability space: its
+    log-factor is log f2(1) at every atom."""
     if not space.is_probability:
         raise ReferenceNotProbability(
             f"base measure has mass {space.total_mass!r}; the reference variant needs mass 1"
         )
-    e1 = i / n
-    body = weighted_product_integral(space, [pair1.log_integrand_factor], [e1])
-    return f2(1.0) ** (1.0 - e1) * body
+    one = validate_density(space, np.ones(space.n_atoms), require_prob=True)
+    return PairTriple(f2, one, one)
+
+
+def ith_mixed_reference(pair1: PairTriple, i: float, n: int, f2: Generator) -> float:
+    """i-th mixed divergence against the base measure: :func:`ith_mixed` with
+    the second pair (f2, 1, 1), whose factor is the constant f2(1), so the
+    value is f2(1)**(1 - i/n) * integral of w1**(i/n), formed by the same
+    kernel (f2(1)**(1 - i/n) is never formed on its own).
+
+    Requires the underlying space to be a probability space.
+    """
+    return _ith_mixed_grid(pair1, _unit_pair(pair1.space, f2), [i], n)[0]
 
 
 def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float:
@@ -393,11 +398,20 @@ def mixed_bhattacharyya(pairs: Sequence[PairOfDensities]) -> float:
     return mixed_hellinger(pairs, [0.5] * len(pairs))
 
 
-def mixed_renyi(pairs: Sequence[PairOfDensities], alpha: float) -> float:
-    """(1/(alpha-1)) * ln of the order-alpha mixed Hellinger integral."""
+def _renyi(alpha: float, hellinger: Callable[[], float]) -> float:
+    """(1/(alpha-1)) * ln of the Hellinger integral ``hellinger()``; an integral
+    of 0 (an underflow, say) has no log and raises MixdivError."""
     if alpha == 1.0:
         raise RenyiAlphaOne("Renyi order must differ from 1")
-    return math.log(mixed_hellinger(pairs, [alpha] * len(pairs))) / (alpha - 1.0)
+    value = hellinger()
+    if not 0.0 < value < math.inf:
+        raise MixdivError(f"Renyi order {alpha!r}: Hellinger integral {value!r} has no finite log")
+    return math.log(value) / (alpha - 1.0)
+
+
+def mixed_renyi(pairs: Sequence[PairOfDensities], alpha: float) -> float:
+    """(1/(alpha-1)) * ln of the order-alpha mixed Hellinger integral."""
+    return _renyi(alpha, lambda: mixed_hellinger(pairs, [alpha] * len(pairs)))
 
 
 def _ith(pair1: PairOfDensities, pair2: PairOfDensities,
@@ -432,6 +446,4 @@ def ith_bhattacharyya(pair1: PairOfDensities, pair2: PairOfDensities,
 
 def ith_renyi(pair1: PairOfDensities, pair2: PairOfDensities,
               alpha: float, i: float, n: int) -> float:
-    if alpha == 1.0:
-        raise RenyiAlphaOne("Renyi order must differ from 1")
-    return math.log(ith_hellinger(pair1, pair2, alpha, alpha, i, n)) / (alpha - 1.0)
+    return _renyi(alpha, lambda: ith_hellinger(pair1, pair2, alpha, alpha, i, n))

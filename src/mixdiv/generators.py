@@ -9,7 +9,8 @@ map, its shape rule, its parameter names and its spec aliases:
 * ``power`` (``sqrt``: alpha=1/2) t**alpha          shape from alpha, adjoint alpha -> 1-alpha
 * ``linear``                     a*t + b, a,b >= 0  adjoint swaps a and b
 * ``custom``                     a user callable evaluated per element, whose
-  declared shape is verified by random midpoint sampling; its adjoint is a closure
+  declared shape is verified by random midpoint sampling; adjoint
+  ``custom_adjoint`` = t*fn(1/t), with the same callable
 
 Any generator may carry a scale factor lambda > 0 (:func:`scale_generator`):
 it evaluates lambda*f, keeps its kind, and its adjoint keeps lambda. Scalar
@@ -27,6 +28,8 @@ overflow or underflow of x/y or of the perspective loses a value:
 * kl+           log(x * log1p((x-y)/y)) where x > y, -inf elsewhere
 * kl adjoint    the kl+ column with x and y swapped
 * custom        log(f(x/y) * y), a typed error where x/y is not finite and > 0
+* custom adjoint the custom column with x and y swapped, so f is called at y/x
+  and never as t*f(1/t)
 * scale lambda  adds log(lambda)
 
 The linear, kl and custom columns form their perspective, which rounds
@@ -273,11 +276,14 @@ _KINDS = {
         lambda g, t: g.params[0] * t + g.params[1],
         _log_linear, "linear", _linear_shape, ("a", "b"), lambda p: (p[1], p[0]),
     ),
-    "custom": _Kind(_eval_custom, _log_custom, "custom", None),
+    "custom": _Kind(_eval_custom, _log_custom, "custom_adjoint", None),
+    "custom_adjoint": _Kind(lambda g, t: t * _eval_custom(g, 1.0 / t),
+                            lambda g, x, y: _log_custom(g, y, x), "custom", None),
 }
 
-#: spec name -> (registry kind, preset parameters)
-_SPEC_NAMES = {name: (name, {}) for name in _KINDS} | {
+#: spec name -> (registry kind, preset parameters); a custom adjoint comes
+#: only from :func:`adjoint`
+_SPEC_NAMES = {name: (name, {}) for name in _KINDS if name != "custom_adjoint"} | {
     alias: (name, preset) for name, row in _KINDS.items() for alias, preset in row.aliases.items()
 }
 
@@ -368,17 +374,14 @@ def _verify_custom(fn: Callable[[float], float], shape: str, positive: bool) -> 
             raise ShapeMismatch(f"declared {shape} but midpoint is below chord at ({s!r}, {t!r})")
 
 
-def _star(fn: Callable[[float], float]) -> Callable[[float], float]:
-    return lambda t: t * fn(1.0 / t)
-
-
 def adjoint(g: Generator) -> Generator:
     """Return the adjoint generator t -> t * f(1/t).
 
     Shape, strictness, positivity and the scale factor are preserved. The
     registry row gives the adjoint kind and parameters (power alpha ->
     power 1-alpha, linear(a,b) -> linear(b,a), total variation to itself,
-    the positive-part entropy kinds to each other, custom to a closure).
+    the positive-part entropy kinds to each other, custom to
+    ``custom_adjoint``, which keeps the user's callable).
     Applying ``adjoint`` twice returns the original object, so the
     involution holds exactly.
     """
@@ -389,7 +392,6 @@ def adjoint(g: Generator) -> Generator:
         g,
         kind=row.adjoint,
         params=row.adjoint_params(g.params),
-        fn=None if g.fn is None else _star(g.fn),
         base=g,
     )
 

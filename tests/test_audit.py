@@ -28,6 +28,7 @@ from mixdiv.errors import (
     DegenerateIndices,
     IndexOutOfRange,
     LengthMismatch,
+    MixdivError,
     NotProbability,
     ReferenceNotProbability,
     ShapeMismatch,
@@ -458,6 +459,32 @@ def test_corollary_index_and_shape_errors(two_atom):
     tv_pair = PairTriple(make_generator("tv"), two_atom["p1"], two_atom["q1"])
     with pytest.raises(ShapeMismatch):
         check_corollary("concave_0_i_n", tv_pair, 2, 1.0, pair2=t2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sides_beyond_the_float_range_are_typed():
+    space = make_space([0.5, 0.5])
+    p = validate_density(space, [1.0, 1.0], require_prob=True)
+    q = validate_density(space, [2e-100, 1.9999999999999998], require_prob=True)
+    # the mixed value is about 1.25e199, so [D]**2 is beyond the float range
+    cube = PairTriple(make_generator("power", alpha=3.0), p, q)
+    with pytest.raises(MixdivError, match="^alexandrov_fenchel: "):
+        check_alexandrov_fenchel([cube, cube], 2)
+    # with the large factor at the other atom in the second pair, [D]**2 is finite,
+    # but the product of the two classical divergences, about 1.6e398, is not
+    mirror = PairTriple(cube.generator, p, validate_density(
+        space, [1.9999999999999998, 2e-100], require_prob=True))
+    with pytest.raises(MixdivError, match="^alexandrov_fenchel: side beyond"):
+        check_alexandrov_fenchel([cube, mirror], 2)
+    # f(1) = 2e200 for both coordinates: [D]**2 is about 4e400
+    big = PairTriple(make_generator("linear", a=1e200, b=1e200), p, q)
+    with pytest.raises(MixdivError, match="^concave_product_chain: "):
+        check_concave_upper([big, big])
+    # f2(1)**(1 - 6/4) = 1e150 inside the integral, then [D]**4 is about 1e600
+    f2 = scale_generator(make_generator("power", alpha=2.0), 1e-300)
+    convex = PairTriple(make_generator("power", alpha=2.0), p, q)
+    with pytest.raises(MixdivError, match="^corollary_ref_convex: "):
+        check_corollary("ref_convex", convex, 4, 6.0, f2=f2)
 
 
 # --- the randomized suite -----------------------------------------------------------------------

@@ -313,7 +313,30 @@ BAD_DOCUMENTS = {
         "mu": [1.0, 1.0],
         "pairs": [{"p": [1e250, 1.0], "q": [1e150, 1.0]}] * 2,
     },
+    # q * (p/q)**2 = 1e-400 underflows: the order-2 Hellinger integral is 0, with no log
+    "@vanishing_hellinger": {"mu": [1, 1], "pairs": [{"p": [1e-200, 1e-200], "q": [1, 1]}]},
+    # the power-3 mixed value is about 1.25e199, so the substitution side [D]**2 overflows
+    "@overflowing_af_side": {
+        "mu": [0.5, 0.5],
+        "pairs": [{"p": [1, 1], "q": [2e-100, 1.9999999999999998]}] * 2,
+    },
 }
+
+#: rows whose error must also reach stderr as exactly one ``error:`` line
+VALUE_ERROR_ARGV = [
+    ["mixed", "--f", '{"kind":"tv"}', "--alpha", "2", "--input", "@vanishing_hellinger"],
+    ["mixed", "--f", '{"kind":"power","alpha":3}', "--m", "2", "--input", "@overflowing_af_side"],
+]
+
+
+def _with_documents(argv, tmp_path):
+    """``argv`` with each "@name" argument written to a file and replaced by its path."""
+    for name, doc in BAD_DOCUMENTS.items():
+        if name in argv:
+            path = tmp_path / "bad.json"
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = [str(path) if a == name else a for a in argv]
+    return argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,20 +384,27 @@ BAD_DOCUMENTS = {
     ["compute", "--f", '{"kind":"tv"}', "--input", "@over_digit_limit"],
     ["compute", "--f", '{"kind":"tv"}', "--input", "@deep_nesting"],
     ["geometry", "--input", "@deep_nesting"],
+    *VALUE_ERROR_ARGV,
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
     out = tmp_path / "r.json"
-    for name, doc in BAD_DOCUMENTS.items():
-        if name in argv:
-            path = tmp_path / "bad.json"
-            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-            argv = [str(path) if a == name else a for a in argv]
+    argv = _with_documents(argv, tmp_path)
     if argv[0] not in ("audit", "geometry") and "--input" not in argv:
         argv = argv + ["--input", fixture_path]
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["type"] and error["message"]
+
+
+@pytest.mark.parametrize("argv", VALUE_ERROR_ARGV)
+@pytest.mark.filterwarnings("error")
+def test_value_beyond_the_float_range_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(_with_documents(argv, tmp_path) + ["--output", str(out)]) == 1
+    assert json.loads(out.read_text())["error"]["type"] == "MixdivError"
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -217,6 +217,19 @@ def test_order_change_invariance(seed):
         _rel_eq(mixed_divergence_k(triples, k), base)
 
 
+@pytest.mark.filterwarnings("error")
+def test_custom_adjoint_factor_where_its_closure_would_overflow():
+    # at atom 0, q/p = 1e200: the adjoint t * fn(1/t) = 1 + t**2 overflows there,
+    # but the factor p + q**2/p = 1e250 is finite, in adjoint form as in direct form
+    g = make_generator("custom", fn=lambda t: t + 1.0 / t, shape="convex", strict=True,
+                       positive=True)
+    space = make_space([1.0, 1.0])
+    t = PairTriple(g, validate_density(space, [1e-150, 1.0]), validate_density(space, [1e50, 1.0]))
+    direct = mixed_divergence_k([t], 1)
+    _rel_eq(direct, 1e250, rel=1e-13)
+    assert mixed_divergence_k([t], 0) == direct
+
+
 # --- factors shared per triple ------------------------------------------------------
 
 def _convex_probability_triples(seed):
@@ -699,8 +712,8 @@ def _extreme_catalog():
                    lambda p, q: mp(0.3) * p + mp(1.7) * q, None),
         "scaled": (scale_generator(make_generator("power", alpha=0.75), 2.5),
                    lambda p, q: mp(2.5) * q * (p / q) ** mp(0.75), 0.75),
-        # a custom generator sees p/q itself, and its adjoint 1 + t**2 the square of
-        # q/p, so instances with one keep their densities within 1e+-75
+        # a custom generator (and its adjoint, the same column swapped) sees p/q
+        # itself, so instances with one keep their densities within 1e+-150
         "custom": (make_generator("custom", fn=lambda t: t + 1.0 / t, shape="convex", positive=True),
                    lambda p, q: p + q * q / p, None),
     }
@@ -730,7 +743,7 @@ def test_extreme_range_matches_mpmath(seed):
     rng = np.random.default_rng(seed)
     atoms, n = int(rng.integers(2, 17)), int(rng.integers(1, 5))
     names = [str(x) for x in rng.choice(sorted(catalog), n)]
-    span = 75.0 if "custom" in names else 300.0
+    span = 150.0 if "custom" in names else 300.0
     mu = 10.0 ** rng.uniform(-50.0, 50.0, atoms)
     space = make_space(mu / math.fsum(mu.tolist()))
     values = [10.0 ** rng.uniform(-span, span, atoms) for _ in range(2 * n)]
@@ -828,6 +841,40 @@ def test_ith_reference_requires_probability_base():
         ith_mixed_reference(pair, 1.0, 2, make_generator("sqrt"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_ith_reference_beyond_scalar_powers():
+    # f1 = f2 = 5t + 5 on P1 = Q1 = 1: every factor is 10, so the value is 10 at any i,
+    # although f2(1)**(1 - i/n) = 10**320 at i = -638 is beyond the float range
+    space = make_space([0.5, 0.5])
+    one = validate_density(space, [1.0, 1.0], require_prob=True)
+    linear = make_generator("linear", a=5.0, b=5.0)
+    pair1 = PairTriple(linear, one, one)
+    _rel_eq(ith_mixed_reference(pair1, -638.0, 2, linear), 10.0)
+    # f2 = tv has f2(1) = 0, to the power 1 - 3/2 < 0: the kernel's zero rule gives inf
+    assert ith_mixed_reference(pair1, 3.0, 2, make_generator("tv")) == math.inf
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ith_reference_is_ith_mixed_against_the_unit_pair(seed):
+    rng = np.random.default_rng(seed)
+    atoms = int(rng.integers(2, 33))
+    weights = rng.uniform(0.25, 2.0, atoms)
+    space = make_space(weights / weights.sum())
+
+    def dens():
+        raw = np.exp(rng.uniform(-2.0, 2.0, atoms))
+        return validate_density(space, raw / integrate(space, raw), require_prob=True)
+
+    gens = catalog_generators()
+    f1, f2 = (gens[int(rng.integers(len(gens)))] for _ in range(2))
+    pair1 = PairTriple(f1, dens(), dens())
+    n = int(rng.integers(1, 7))
+    unit = validate_density(space, np.ones(atoms), require_prob=True)
+    for i in rng.uniform(-4.0, n + 4.0, 5).tolist() + [0.0, float(n)]:
+        want = ith_mixed(IthMixedSpec(pair1, PairTriple(f2, unit, unit), i=i, n=n))
+        assert ith_mixed_reference(pair1, i, n, f2) == want, (f1, f2, i, n)
+
+
 # --- dissimilarity --------------------------------------------------------------------------
 
 def test_matusita_all_equal_probability(two_atom):
@@ -903,6 +950,16 @@ def test_renyi_rejects_alpha_one(two_atom):
         mixed_renyi([pair1], 1.0)
     with pytest.raises(RenyiAlphaOne):
         ith_renyi(pair1, pair1, 1.0, 1.0, 2)
+
+
+def test_renyi_of_a_vanishing_hellinger_integral_is_typed():
+    # q * (p/q)**2 = 1e-400 underflows, so the Hellinger integral is 0 and has no log
+    space = make_space([1.0, 1.0])
+    pair = (validate_density(space, [1e-200, 1e-200]), validate_density(space, [1.0, 1.0]))
+    with pytest.raises(MixdivError, match="Hellinger integral 0.0"):
+        mixed_renyi([pair], 2.0)
+    with pytest.raises(MixdivError, match="Hellinger integral 0.0"):
+        ith_renyi(pair, pair, 2.0, 1.0, 2)
 
 
 def test_renyi_vanishes_on_diagonal(two_atom):

@@ -178,6 +178,22 @@ def test_custom_generator_roundtrip():
     assert adjoint(star) is g
 
 
+def test_custom_adjoint_is_a_registry_kind_with_the_same_callable():
+    def fn(t):
+        return (t - 1.0) ** 2 + t**-0.5
+
+    g = make_generator("custom", fn=fn, shape="convex")
+    star = adjoint(g)
+    assert star.kind == "custom_adjoint" and star.fn is fn and adjoint(star) is g
+    grid = np.exp(np.linspace(-6.0, 6.0, 50))
+    # the values of t * fn(1/t) on Python floats, bit for bit
+    assert star.eval_array(grid).tolist() == [t * fn(1.0 / t) for t in grid.tolist()]
+    with pytest.raises(MixdivError, match="unknown generator kind"):
+        make_generator("custom_adjoint", fn=fn, shape="convex")
+    with pytest.raises(MixdivError, match="unknown generator kind"):
+        generator_from_spec({"kind": "custom_adjoint"})
+
+
 def test_custom_shape_both_normalizes_to_linear():
     g = make_generator("custom", fn=lambda t: 2.0 * t + 1.0, shape="both")
     assert g.shape == "linear"
