@@ -154,7 +154,8 @@ class IthMixedSpec:
     n: int
 
     def __post_init__(self) -> None:
-        _check_base(self.n)
+        if self.n < 1:
+            raise IndexOutOfRange(f"ambient exponent base n={self.n} must be >= 1")
         same_space(self.pair1.p, self.pair2.p)
 
     @property
@@ -169,11 +170,6 @@ _EXPONENT_MASS_LIMIT = 1e300
 #: exp(acc) is a normal float for acc in [_LOG_LOW, _LOG_HIGH]; beyond them
 #: the kernel folds log mu in before the ``exp``
 _LOG_LOW, _LOG_HIGH = -708.0, 709.0
-
-
-def _check_base(n: int) -> None:
-    if n < 1:
-        raise IndexOutOfRange(f"ambient exponent base n={n} must be >= 1")
 
 
 def _log_factor(g: Generator, num: Density, den: Density) -> np.ndarray:
@@ -210,6 +206,11 @@ def weighted_product_integral(
 
 def _integral(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) -> float:
     """Integral of prod_i exp(exponents[i] * log_factors[i]); see the module docstring."""
+    return _exp_integral(space, *_log_terms(space, log_factors, exponents))
+
+
+def _log_terms(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) -> tuple:
+    """Per-atom acc = sum_i exponents[i] * log_factors[i], and the factors it reads."""
     if len(log_factors) != len(exponents):
         raise ArityMismatch(f"{len(log_factors)} factors vs {len(exponents)} exponents")
     if not sum(map(abs, exponents)) <= _EXPONENT_MASS_LIMIT:
@@ -224,15 +225,13 @@ def _integral(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) -
             raise LengthMismatch(f"factor of {lw.size} values for {space.n_atoms} atoms")
         if e != 0.0:
             rows.append((lw, e))
-    if not rows:
-        return space.total_mass
     # -inf + inf is a zero factor to powers of both signs; an overflow to -inf
     # is a term of 0, and _exp_integral rejects one to +inf
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = rows[0][0] * rows[0][1]
+        acc = rows[0][0] * rows[0][1] if rows else np.zeros(space.n_atoms)
         for lw, e in rows[1:]:
             acc += lw * e
-    return _exp_integral(space, acc, [lw for lw, _ in rows])
+    return acc, [lw for lw, _ in rows]
 
 
 def _exp_integral(space: MeasureSpace, acc: np.ndarray, log_factors: Sequence) -> float:
@@ -297,6 +296,11 @@ def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
     Equal to :func:`mixed_divergence` for every k in [0, n] because
     f(p/q) * q = f*(q/p) * p pointwise.
     """
+    return weighted_product_integral(*_mixed_inputs(triples, k))
+
+
+def _mixed_inputs(triples: Sequence[PairTriple], k: int) -> tuple:
+    """The checked kernel inputs (space, log-factors, exponents) of the order-k value."""
     n = len(triples)
     if n == 0:
         raise MixedArityZero("need at least one (generator, P, Q) triple")
@@ -307,7 +311,7 @@ def mixed_divergence_k(triples: Sequence[PairTriple], k: int) -> float:
         t.log_integrand_factor if idx < k else t.log_adjoint_factor
         for idx, t in enumerate(triples)
     ]
-    return weighted_product_integral(space, factors, [1.0 / n] * n)
+    return space, factors, [1.0 / n] * n
 
 
 def ith_mixed(spec: IthMixedSpec) -> float:
@@ -317,18 +321,21 @@ def ith_mixed(spec: IthMixedSpec) -> float:
     (i = 0 gives pair2, i = n gives pair1), and the index satisfies the
     duality D((f1,f2), (P1,P2), (Q1,Q2); i) = D((f2,f1), (P2,Q2), (P1,Q1); n-i).
     """
-    return _ith_mixed_grid(spec.pair1, spec.pair2, [spec.i], spec.n)[0]
+    return weighted_product_integral(*_ith_inputs(spec, spec.i))
 
 
 def _ith_mixed_grid(
     pair1: PairTriple, pair2: PairTriple, indices: Sequence[float], n: int
 ) -> list[float]:
     """:func:`ith_mixed` at each index, with n and the space checked once."""
-    _check_base(n)
-    space = same_space(pair1.p, pair2.p)
-    factors = [pair1.log_integrand_factor, pair2.log_integrand_factor]
-    return [weighted_product_integral(space, factors, [i / n, 1.0 - i / n])
-            for i in indices]
+    spec = IthMixedSpec(pair1, pair2, math.nan, n)
+    return [weighted_product_integral(*_ith_inputs(spec, i)) for i in indices]
+
+
+def _ith_inputs(spec: IthMixedSpec, i: float) -> tuple:
+    """The kernel inputs of ``spec``'s i-th value at index i (spec.i is not read)."""
+    factors = [spec.pair1.log_integrand_factor, spec.pair2.log_integrand_factor]
+    return spec.space, factors, [i / spec.n, 1.0 - i / spec.n]
 
 
 def _unit_pair(space: MeasureSpace, f2: Generator) -> PairTriple:
@@ -398,45 +405,50 @@ def mixed_bhattacharyya(pairs: Sequence[PairOfDensities]) -> float:
     return mixed_hellinger(pairs, [0.5] * len(pairs))
 
 
-def _renyi(alpha: float, hellinger: Callable[[], float]) -> float:
-    """(1/(alpha-1)) * ln of the Hellinger integral ``hellinger()``; an integral
-    of 0 (an underflow, say) has no log and raises MixdivError."""
+def _renyi(alpha: float, hellinger: Callable[[], tuple]) -> float:
+    """(1/(alpha-1)) * ln H, H the integral of the kernel inputs ``hellinger()``;
+    where H is 0 or subnormal, ln H = M + ln(integral of exp(acc - M)), M = max acc.
+    MixdivError where every term is 0 (M = -inf) or H is not finite."""
     if alpha == 1.0:
         raise RenyiAlphaOne("Renyi order must differ from 1")
-    value = hellinger()
+    space, log_factors, exponents = hellinger()
+    acc, live = _log_terms(space, log_factors, exponents)
+    value, shift = _exp_integral(space, acc, live), 0.0
+    if value < 2.0**-1022:  # 0 or subnormal
+        shift = float(acc.max())
+        value = _exp_integral(space, acc - shift, live) if shift > -math.inf else 0.0
     if not 0.0 < value < math.inf:
         raise MixdivError(f"Renyi order {alpha!r}: Hellinger integral {value!r} has no finite log")
-    return math.log(value) / (alpha - 1.0)
+    return (shift + math.log(value)) / (alpha - 1.0)
 
 
 def mixed_renyi(pairs: Sequence[PairOfDensities], alpha: float) -> float:
     """(1/(alpha-1)) * ln of the order-alpha mixed Hellinger integral."""
-    return _renyi(alpha, lambda: mixed_hellinger(pairs, [alpha] * len(pairs)))
+    power = make_generator("power", alpha=alpha)
+    return _renyi(alpha, lambda: _mixed_inputs(_triples(pairs, [power] * len(pairs)), len(pairs)))
 
 
-def _ith(pair1: PairOfDensities, pair2: PairOfDensities,
-         g1: Generator, g2: Generator, i: float, n: int) -> float:
-    return ith_mixed(
-        IthMixedSpec(PairTriple(g1, *pair1), PairTriple(g2, *pair2), i=i, n=n)
-    )
+def _ith_spec(pair1: PairOfDensities, pair2: PairOfDensities,
+              g1: Generator, g2: Generator, i: float, n: int) -> IthMixedSpec:
+    return IthMixedSpec(PairTriple(g1, *pair1), PairTriple(g2, *pair2), i=i, n=n)
 
 
 def ith_total_variation(pair1: PairOfDensities, pair2: PairOfDensities,
                         i: float, n: int) -> float:
     tv = make_generator("total_variation")
-    return _ith(pair1, pair2, tv, tv, i, n)
+    return ith_mixed(_ith_spec(pair1, pair2, tv, tv, i, n))
 
 
 def ith_kl(pair1: PairOfDensities, pair2: PairOfDensities, i: float, n: int) -> float:
     kl = make_generator("kl_positive_part")
-    return _ith(pair1, pair2, kl, kl, i, n)
+    return ith_mixed(_ith_spec(pair1, pair2, kl, kl, i, n))
 
 
 def ith_hellinger(pair1: PairOfDensities, pair2: PairOfDensities,
                   alpha1: float, alpha2: float, i: float, n: int) -> float:
     g1 = make_generator("power", alpha=alpha1)
     g2 = make_generator("power", alpha=alpha2)
-    return _ith(pair1, pair2, g1, g2, i, n)
+    return ith_mixed(_ith_spec(pair1, pair2, g1, g2, i, n))
 
 
 def ith_bhattacharyya(pair1: PairOfDensities, pair2: PairOfDensities,
@@ -446,4 +458,5 @@ def ith_bhattacharyya(pair1: PairOfDensities, pair2: PairOfDensities,
 
 def ith_renyi(pair1: PairOfDensities, pair2: PairOfDensities,
               alpha: float, i: float, n: int) -> float:
-    return _renyi(alpha, lambda: ith_hellinger(pair1, pair2, alpha, alpha, i, n))
+    power = make_generator("power", alpha=alpha)
+    return _renyi(alpha, lambda: _ith_inputs(_ith_spec(pair1, pair2, power, power, i, n), i))

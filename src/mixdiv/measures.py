@@ -8,16 +8,15 @@ ratio p/q well defined and finite.
 Integrals are exactly rounded: every sum returns the bits of
 ``math.fsum(values.tolist())``, so results are bit-for-bit reproducible
 however callers order the atoms. Arrays of at least ``_EXTRACT_CUTOVER``
-elements are summed without boxing each element into a Python float, by
-error-free extraction (Rump, Ogita & Oishi, *Accurate floating-point
-summation I*, SIAM J. Sci. Comput. 31(1), 2008): each pass splits the
-remainder r into q = (sigma + r) - sigma and r - q, both exact for a power
-of two sigma large enough that each block of q's sums exactly in any
-order, until the remainder is zero; ``math.fsum`` then rounds the block
-sums once. Shorter arrays, and arrays holding NaN, an infinity or values
-too large for sigma, are summed by ``math.fsum`` itself. Finite terms whose
-sum overflows raise a typed error (``NonpositiveWeight`` for a total mass);
-an infinite term gives an infinite integral.
+elements are summed without boxing each element into a Python float, by one
+certified pass of error-free extraction (Rump, Ogita & Oishi, *Accurate
+floating-point summation I*, SIAM J. Sci. Comput. 31(1), 2008), or by passes
+to a zero remainder where the certificate fails (see ``_exact_sum``).
+Shorter arrays, arrays holding NaN, an infinity or values too large for
+sigma, and zero totals go to ``math.fsum`` itself. Finite terms whose sum
+overflows raise a typed error (``NonpositiveWeight`` for a total mass); an
+infinite term gives an infinite integral. A density is certified normalized
+from one float dot product where its error bound allows.
 """
 
 from __future__ import annotations
@@ -229,11 +228,11 @@ def validate_density(
 
 
 def _certainly_normalized(space: MeasureSpace, arr: np.ndarray) -> bool:
-    """Whether one float sum s of the positive products proves the exact integral
-    within ``EPS_NORM`` of 1: summed in any order, n such terms err by under
-    2*n*2**-53*s, rounding included (Higham, *Accuracy and Stability*, 4.2)."""
+    """Whether one float dot product s of the values and weights proves the exact
+    integral within ``EPS_NORM`` of 1: in any order, fused or not, its n positive
+    terms err by under 2*n*2**-53*s (Higham, *Accuracy and Stability*, 3.1, 4.2)."""
     with np.errstate(over="ignore"):
-        s = float((arr * space.weights).sum())
+        s = float(np.dot(arr, space.weights))
     return abs(s - 1.0) + 2.0 * arr.size * 2.0**-53 * s < EPS_NORM
 
 
@@ -264,42 +263,60 @@ def _sum_terms(terms: np.ndarray) -> float:
 def _exact_sum(x: np.ndarray) -> float:
     """``math.fsum(x.tolist())``, bit for bit, without boxing the elements.
 
-    Error-free extraction, chunk by chunk so the passes stay in cache: with
-    sigma a power of two at least 2**b * max|r|, where 2**b > _SUM_BLOCK + 2,
-    each q = (sigma + r) - sigma is exact, a multiple of 2**-53 * sigma and
-    about 2**-b * sigma at most, so the sum of each block of ``_SUM_BLOCK``
-    q's is exact in any order, and so is the remainder r - q, which is at
-    most 2**-53 * sigma. Passes repeat on the remainder until it is zero;
-    the exact sum is then the sum of the block sums, which ``math.fsum``
-    rounds once. Short arrays, NaN, infinities and inputs whose sigma would
-    overflow go to ``math.fsum`` itself, as does a zero total, whose sign
-    ``math.fsum`` decides.
+    One extraction pass per chunk gives parts whose sum is within ``bound`` of
+    the exact sum. R = fsum(parts) is the exact sum's rounding where
+    |fsum(parts - R)| * (1 + 4u) + bound is under half the smaller float gap
+    beside R, (1 + 4u) covering the rounding of fsum(parts - R). Otherwise the
+    passes run to a zero remainder, whose parts sum exactly.
     """
-    n = x.size
-    if n < _EXTRACT_CUTOVER:
-        return math.fsum(x.tolist())
+    if x.size >= _EXTRACT_CUTOVER:
+        for passes in (1, math.inf):
+            parts, bound = _extract(x, passes)
+            total = math.fsum(parts) if parts else 0.0  # parts None: sigma would overflow
+            if total == 0.0:
+                break
+            gap = math.ulp(math.nextafter(total, 0.0))  # the smaller gap beside R
+            if passes == math.inf or (abs(math.fsum(parts + [-total])) * (1.0 + 2.0**-51)
+                                      + bound < 0.5 * gap):
+                return total
+    return math.fsum(x.tolist())
+
+
+def _extract(x: np.ndarray, passes: float) -> tuple[Optional[list], float]:
+    """Exact block sums of ``x`` after at most ``passes`` passes per chunk
+    (``math.inf``: until the remainder is zero), each chunk's remainder summed
+    in floats, and a bound on those sums' error; no parts where sigma would
+    overflow. With sigma a power of two at least 2**b * max|r|, where
+    2**b > _SUM_BLOCK + 2, each q = (sigma + r) - sigma is exact, a multiple of
+    2**-53 * sigma and about 2**-b * sigma at most, so each block of q's sums
+    exactly in any order, and so is r - q, at most u * sigma (u = 2**-53); a
+    float sum of k such remainders errs by under 2*k*u * (k*u*sigma) in any
+    order (Higham, *Accuracy and Stability*, 4.2)."""
     b = (_SUM_BLOCK + 2).bit_length()
-    r_buf = np.empty(min(n, _SUM_CHUNK))
+    r_buf = np.empty(min(x.size, _SUM_CHUNK))
     q_buf = np.empty_like(r_buf)
-    sums = []
-    for start in range(0, n, _SUM_CHUNK):
-        chunk = x[start : start + _SUM_CHUNK]
-        r, q = r_buf[: chunk.size], q_buf[: chunk.size]
-        r[...] = chunk
-        whole = chunk.size - chunk.size % _SUM_BLOCK
+    parts, bound = [], 0.0
+    for start in range(0, x.size, _SUM_CHUNK):
+        r = x[start : start + _SUM_CHUNK]
+        k = r.size
+        q, whole, done = q_buf[:k], k - k % _SUM_BLOCK, 0
         m = max(float(r.max()), -float(r.min()))
         if not m < 2.0 ** (1023 - b):
-            return math.fsum(x.tolist())
+            return None, 0.0
         while m > 0.0:
             sigma = math.ldexp(1.0, math.frexp(m)[1] + b)
             np.add(r, sigma, out=q)
             q -= sigma
-            sums += q[:whole].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist()
-            sums.append(float(q[whole:].sum()))
-            r -= q
+            parts += q[:whole].reshape(-1, _SUM_BLOCK).sum(axis=1).tolist()
+            parts.append(float(q[whole:].sum()))
+            r = np.subtract(r, q, out=r_buf[:k])
+            done += 1
+            if done == passes:
+                parts.append(float(r.sum()))
+                bound += 2.0 * k * 2.0**-53 * (k * 2.0**-53 * sigma)
+                break
             m = max(float(r.max()), -float(r.min()))
-    total = math.fsum(sums)
-    return total if total != 0.0 else math.fsum(x.tolist())
+    return parts, bound
 
 
 def same_space(*densities: Density) -> MeasureSpace:

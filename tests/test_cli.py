@@ -313,7 +313,8 @@ BAD_DOCUMENTS = {
         "mu": [1.0, 1.0],
         "pairs": [{"p": [1e250, 1.0], "q": [1e150, 1.0]}] * 2,
     },
-    # q * (p/q)**2 = 1e-400 underflows: the order-2 Hellinger integral is 0, with no log
+    # at order 1e307 every log of q * (p/q)**alpha is below the float range:
+    # the Hellinger integral is 0, and its log is no float
     "@vanishing_hellinger": {"mu": [1, 1], "pairs": [{"p": [1e-200, 1e-200], "q": [1, 1]}]},
     # the power-3 mixed value is about 1.25e199, so the substitution side [D]**2 overflows
     "@overflowing_af_side": {
@@ -324,7 +325,7 @@ BAD_DOCUMENTS = {
 
 #: rows whose error must also reach stderr as exactly one ``error:`` line
 VALUE_ERROR_ARGV = [
-    ["mixed", "--f", '{"kind":"tv"}', "--alpha", "2", "--input", "@vanishing_hellinger"],
+    ["mixed", "--f", '{"kind":"tv"}', "--alpha", "1e307", "--input", "@vanishing_hellinger"],
     ["mixed", "--f", '{"kind":"power","alpha":3}', "--m", "2", "--input", "@overflowing_af_side"],
 ]
 
@@ -405,6 +406,15 @@ def test_value_beyond_the_float_range_is_one_error_line(argv, tmp_path, capsys):
     assert json.loads(out.read_text())["error"]["type"] == "MixdivError"
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_renyi_of_an_underflowing_hellinger_integral_is_reported(tmp_path):
+    # at order 2 the Hellinger integral 2e-400 underflows; its log does not
+    out = tmp_path / "r.json"
+    argv = ["mixed", "--f", '{"kind":"tv"}', "--alpha", "2", "--input", "@vanishing_hellinger"]
+    assert main(_with_documents(argv, tmp_path) + ["--output", str(out)]) == 0
+    renyi = json.loads(out.read_text())["values"]["renyi"]["value"]
+    assert renyi == pytest.approx(-920.3408900170584, abs=1e-13)
 
 
 @pytest.mark.parametrize("argv, key", [

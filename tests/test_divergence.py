@@ -940,6 +940,9 @@ def test_wrappers_fixture_values(two_atom):
     _rel_eq(mixed_bhattacharyya([pair1, pair1]), BHATT_VALUE)
     _rel_eq(mixed_hellinger([pair1, pair2], [0.5, 0.5]), MIXED_SQRT_VALUE)
     _rel_eq(mixed_renyi([pair1, pair1], 0.5), RENYI_HALF_VALUE)
+    # a normal Hellinger integral keeps the plain log, bit for bit
+    hellinger = mixed_hellinger([pair1, pair2], [3.0, 3.0])
+    assert mixed_renyi([pair1, pair2], 3.0) == math.log(hellinger) / 2.0
     _rel_eq(mixed_total_variation([pair1, pair1]), TV_VALUE)
     _rel_eq(mixed_kl([pair1, pair1]), KL_VALUE)
 
@@ -953,13 +956,26 @@ def test_renyi_rejects_alpha_one(two_atom):
 
 
 def test_renyi_of_a_vanishing_hellinger_integral_is_typed():
-    # q * (p/q)**2 = 1e-400 underflows, so the Hellinger integral is 0 and has no log
+    # at order 1e307 the log of q * (p/q)**alpha is about -4.6e309, beyond the
+    # float range, so every term is 0 and ln H has no float value
     space = make_space([1.0, 1.0])
     pair = (validate_density(space, [1e-200, 1e-200]), validate_density(space, [1.0, 1.0]))
     with pytest.raises(MixdivError, match="Hellinger integral 0.0"):
-        mixed_renyi([pair], 2.0)
+        mixed_renyi([pair], 1e307)
     with pytest.raises(MixdivError, match="Hellinger integral 0.0"):
-        ith_renyi(pair, pair, 2.0, 1.0, 2)
+        ith_renyi(pair, pair, 1e307, 1.0, 2)
+
+
+def test_renyi_of_an_underflowing_hellinger_integral_matches_mpmath():
+    # q * (p/q)**2 = 1e-400 underflows, but ln H = ln(2e-400) is a float
+    import mpmath
+
+    space = make_space([1.0, 1.0])
+    pair = (validate_density(space, [1e-200, 1e-200]), validate_density(space, [1.0, 1.0]))
+    for got in (mixed_renyi([pair], 2.0), ith_renyi(pair, pair, 2.0, 1.0, 2)):
+        assert got == pytest.approx(-920.3408900170584, abs=1e-13)
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(got) - mpmath.log(2 * mpmath.mpf(1e-200) ** 2)) <= 1e-13
 
 
 def test_renyi_vanishes_on_diagonal(two_atom):

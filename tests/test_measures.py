@@ -363,6 +363,76 @@ def test_exact_sum_same_sign_block_sums():
         assert _exact_sum(x) == math.fsum(x.tolist())
 
 
+def _near_tie(rng, n, offset):
+    """n atoms summing exactly to the midpoint between a random float r0 and
+    the next float up, plus offset * r0: r0 and the half gap are each spread
+    over c atoms (c a power of two, at least 1024 from 4,096 atoms on), and
+    the other atoms cancel in pairs; the sign of the whole array is random."""
+    c = 2 ** int(math.log2(n // 4))
+    r0 = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-200, 200))
+    noise = rng.uniform(-1.0, 1.0, (n - 2 * c - 1) // 2) * r0 / c
+    x = np.concatenate([np.full(c, r0 / c), np.full(c, math.ulp(r0) / (2 * c)),
+                        noise, -noise, [offset * r0]])
+    x = np.concatenate([x, np.zeros(n - x.size)])
+    return rng.choice([-1.0, 1.0]) * x[rng.permutation(n)]
+
+
+#: sizes at the edges of the math.fsum cutover and of the extraction chunk
+_EDGE_SIZES = [
+    _EXTRACT_CUTOVER - 1, _EXTRACT_CUTOVER, _EXTRACT_CUTOVER + 1,
+    _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 1,
+]
+
+
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+@pytest.mark.parametrize("offset", [0.0, 2.0**-60, -(2.0**-60), 2.0**-120, -(2.0**-120)])
+def test_exact_sum_at_and_near_rounding_midpoints(n, offset):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = _near_tie(rng, n, offset)
+        assert _outcome(_exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x)
+
+
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+@pytest.mark.parametrize("kind", ["cancel", "neg_zeros", "signed_zeros"])
+def test_exact_sum_cancelling_to_zero(n, kind):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-300.0, 300.0, n // 2)
+    x = {
+        "cancel": np.concatenate([v, -v, np.zeros(n % 2)]),
+        "neg_zeros": np.full(n, -0.0),
+        "signed_zeros": rng.choice([-0.0, 0.0], n),
+    }[kind][rng.permutation(n)]
+    assert _outcome(_exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x)
+
+
+@pytest.mark.parametrize("n", _EDGE_SIZES)
+def test_exact_sum_at_edge_sizes(n):
+    rng = np.random.default_rng(n)
+    for kind in sorted(_SUM_INPUTS):
+        x = _SUM_INPUTS[kind](rng, n)
+        assert _outcome(_exact_sum, x) == _outcome(lambda a: math.fsum(a.tolist()), x), kind
+
+
+def test_one_extraction_pass_unless_the_rounding_is_uncertain(monkeypatch):
+    passes = []
+    extract = measures._extract
+
+    def spy(x, limit):
+        passes.append(limit)
+        return extract(x, limit)
+
+    monkeypatch.setattr(measures, "_extract", spy)
+    rng = np.random.default_rng(11)
+    bulk = np.exp(rng.uniform(-5.0, 5.0, 10**5)) * rng.uniform(0.5, 2.0, 10**5)
+    assert _exact_sum(bulk) == math.fsum(bulk.tolist())
+    assert passes == [1]
+    passes.clear()
+    tie = _near_tie(rng, 10**5, 0.0)
+    assert _exact_sum(tie) == math.fsum(tie.tolist())
+    assert passes == [1, math.inf]
+
+
 @pytest.mark.parametrize("n", [10**4, 10**5])
 def test_integrate_permutation_exact_above_cutover(n):
     rng = np.random.default_rng(n)
