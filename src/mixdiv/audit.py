@@ -182,6 +182,22 @@ def _agree(vectors: Sequence[np.ndarray], tol: float) -> bool:
     return all(_rel_close(vectors[0], v, tol) for v in vectors[1:])
 
 
+def _equality_basis(pairs: Sequence[PairTriple], gens: Sequence[Generator], tol: Tolerances,
+                    strict_label: str, linear_remark: bool = True) -> tuple[str, bool]:
+    """(equality_basis, equality_expected) of a Holder or Jensen bound on
+    ``pairs`` whose generator shapes are those of ``gens``: all affine (with
+    ``linear_remark``) predicts equality where the mixes (a*p + b*q)/(a + b)
+    agree, otherwise all strict predicts it where every density is one
+    common density."""
+    if linear_remark and all(g.is_linear for g in gens):
+        # f(p/q)*q / f(1) is (a*p + b*q)/(a + b) for f = a*t + b, at any scale
+        mixes = [t.integrand_factor / t.generator(1.0) for t in pairs]
+        return "linear-remark", _agree(mixes, tol.prop)
+    if all(g.strict for g in gens):
+        return strict_label, _agree([d.values for t in pairs for d in (t.p, t.q)], tol.prop)
+    return "none", False
+
+
 # --- effective proportionality ---------------------------------------------------
 
 def effectively_proportional(
@@ -206,16 +222,19 @@ def effectively_proportional(
     zu = u == 0.0
     if not np.array_equal(zu, v == 0.0):
         return ProportionalityVerdict(False, None, math.inf)
-    uu, vv = u[~zu], v[~zu]
-    r = uu / vv
-    if np.any(r > 0.0) and np.any(r < 0.0):
+    # u = mu * 2**eu: each ratio is mu/mv * 2**(eu - ev), taken relative to
+    # the largest power 2**max(eu - ev) so that no ratio overflows; exact
+    # while the ratios u/v span less than the normal float range, which
+    # covers every case that can come out proportional
+    (mu, eu), (mv, ev) = np.frexp(u[~zu]), np.frexp(v[~zu])
+    r = mu / mv  # no zeros: mixed signs are min < 0 < max
+    if r.min() < 0.0 < r.max():
         return ProportionalityVerdict(False, None, math.inf)
     spread = 0.0
-    for ratios in (r, vv / uu):
-        mean = abs(float(np.mean(ratios)))
-        if mean == 0.0:
-            return ProportionalityVerdict(False, None, math.inf)
-        spread = max(spread, (float(np.max(ratios)) - float(np.min(ratios))) / mean)
+    for m, e in ((r, eu - ev), (mv / mu, ev - eu)):
+        ratios = np.ldexp(m, e - e.max())  # all below 2 in magnitude, one above 0.5
+        mean = abs(float(ratios.mean()))
+        spread = max(spread, (float(ratios.max()) - float(ratios.min())) / mean)
     return ProportionalityVerdict(bool(spread <= eps_prop), None, float(spread))
 
 
@@ -320,10 +339,10 @@ def check_concave_upper(
     generator vectors over probability pairs.
 
     The report's lhs/rhs are the chain ends; ``holds`` requires both links.
-    Equality is predicted for all-strictly-concave vectors when every
-    density equals one common probability density, and for all-linear
-    vectors when the convex combinations (a_i p_i + b_i q_i)/(a_i + b_i)
-    agree across coordinates.
+    Equality is predicted for all-linear vectors when the convex
+    combinations (a_i p_i + b_i q_i)/(a_i + b_i) agree across coordinates,
+    and otherwise for all-strict vectors when every density equals one
+    common probability density.
     """
     n = len(triples)
     if n == 0:
@@ -341,16 +360,8 @@ def check_concave_upper(
     link1 = middle - lhs >= -tolerances.ineq * max(1.0, abs(middle))
     link2 = rhs - middle >= -tolerances.ineq * max(1.0, abs(rhs))
 
-    basis, expected = "none", False
-    if all(t.generator.strict and t.generator.shape == CONCAVE for t in triples):
-        basis = "strict-concave"
-        expected = _agree([d.values for t in triples for d in (t.p, t.q)], tolerances.prop)
-    elif all(t.generator.kind == "linear" for t in triples):
-        basis = "linear-remark"
-        # f(p/q)*q / f(1) is (a*p + b*q)/(a + b) for f = a*t + b, at any scale
-        mixes = [t.integrand_factor / t.generator(1.0) for t in triples]
-        expected = _agree(mixes, tolerances.prop)
-
+    gens = [t.generator for t in triples]
+    basis, expected = _equality_basis(triples, gens, tolerances, "strict-concave")
     detail = {
         "n": int(n),
         "mixed_value": float(base),
@@ -543,14 +554,7 @@ def check_corollary(
 
     # the unit pair's factor is the constant f2(1), whatever f2's shape
     gens = [f1] if row.reference else [f1, f2]
-    basis, expected = "none", False
-    if row.linear_remark and all(g.kind == "linear" for g in gens):
-        basis = "linear-remark"
-        mixes = [t.integrand_factor / t.generator(1.0) for t in pairs]
-        expected = _agree(mixes, tolerances.prop)
-    elif all(g.strict for g in gens):
-        basis = "strict"
-        expected = _agree([d.values for t in pairs for d in (t.p, t.q)], tolerances.prop)
+    basis, expected = _equality_basis(pairs, gens, tolerances, "strict", row.linear_remark)
     detail = {
         "case": case,
         "n": int(n),
@@ -640,8 +644,6 @@ _POOLS = {
 
 
 def _rand_generator(rng, pool: str) -> Generator:
-    if pool not in _POOLS:
-        raise MixdivError(f"unknown generator pool {pool!r}")
     return _pick(rng, _POOLS[pool])(rng)
 
 

@@ -235,19 +235,22 @@ def load_document(
     return space, pairs, warnings, echo
 
 
+def _generators(specs: list, slots: int, what: str) -> list[Generator]:
+    """One generator per slot (a pair or a body): a single spec serves two or
+    more slots, otherwise there must be one spec per slot."""
+    if len(specs) == 1 and slots > 1:
+        specs = specs * slots
+    if len(specs) != slots:
+        raise MixdivError(f"{len(specs)} generator specs for {slots} {what}")
+    return [generator_from_spec(s) for s in specs]
+
+
 def _pair_generators(specs: list, echo: dict, n_pairs: int) -> list[Generator]:
     """Generators for each pair: the given (--f) specs win, embedded specs otherwise."""
-    if not specs:
-        specs = [p["f"] for p in echo["pairs"] if "f" in p]
-        if len(specs) != n_pairs:
-            raise MixdivError(
-                "no generator specs: pass --f or embed one per pair in the document"
-            )
-    if len(specs) == 1 and n_pairs > 1:
-        specs = specs * n_pairs
-    if len(specs) != n_pairs:
-        raise MixdivError(f"{len(specs)} generator specs for {n_pairs} pairs")
-    return [generator_from_spec(s) for s in specs]
+    embedded = [p["f"] for p in echo["pairs"] if "f" in p]
+    if not specs and len(embedded) != n_pairs:
+        raise MixdivError("no generator specs: pass --f or embed one per pair in the document")
+    return _generators(specs or embedded, n_pairs, "pairs")
 
 
 def _tolerances(spec: JobSpec) -> Tolerances:
@@ -368,7 +371,7 @@ def _run_ith(spec: JobSpec, tol: Tolerances, report: dict) -> int:
 def _run_dissimilarity(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     """multivariate integrand over densities"""
     space, pairs, echo = _read_document(spec, report)
-    if not spec.generator_specs:
+    if len(spec.generator_specs) != 1:
         raise MixdivError("dissimilarity needs one --f with a multivariate spec")
     g = multivariate_from_spec(spec.generator_specs[0])
     if "densities" in echo:
@@ -412,12 +415,10 @@ def _run_geometry(spec: JobSpec, tol: Tolerances, report: dict) -> int:
     bodies = [_body_from_spec(b) for b in body_specs]
     dim = bodies[0].dimension
     grid = sphere_grid(dim, spec.resolution)
-    gen_specs = spec.generator_specs or [{"kind": "power", "alpha": 0.25}]
     if spec.i_values and len(bodies) != 2:
         raise MixdivError("the interpolated variant needs exactly two bodies")
-    if len(gen_specs) == 1:
-        gen_specs = gen_specs * len(bodies)
-    gens = [generator_from_spec(s) for s in (gen_specs[:2] if spec.i_values else gen_specs)]
+    gens = _generators(spec.generator_specs or [{"kind": "power", "alpha": 0.25}],
+                       len(bodies), "bodies")
     values = {
         "generators": [g.label for g in gens],
         "dimension": dim,

@@ -435,17 +435,20 @@ def _ith_spec(pair1: PairOfDensities, pair2: PairOfDensities,
 
 def ith_total_variation(pair1: PairOfDensities, pair2: PairOfDensities,
                         i: float, n: int) -> float:
+    """i-th mixed divergence with f(t) = |t - 1| for both pairs."""
     tv = make_generator("total_variation")
     return ith_mixed(_ith_spec(pair1, pair2, tv, tv, i, n))
 
 
 def ith_kl(pair1: PairOfDensities, pair2: PairOfDensities, i: float, n: int) -> float:
+    """i-th mixed divergence with the positive-part entropy generator max(t ln t, 0)."""
     kl = make_generator("kl_positive_part")
     return ith_mixed(_ith_spec(pair1, pair2, kl, kl, i, n))
 
 
 def ith_hellinger(pair1: PairOfDensities, pair2: PairOfDensities,
                   alpha1: float, alpha2: float, i: float, n: int) -> float:
+    """i-th mixed divergence with the power generators t**alpha1 and t**alpha2."""
     g1 = make_generator("power", alpha=alpha1)
     g2 = make_generator("power", alpha=alpha2)
     return ith_mixed(_ith_spec(pair1, pair2, g1, g2, i, n))
@@ -453,10 +456,12 @@ def ith_hellinger(pair1: PairOfDensities, pair2: PairOfDensities,
 
 def ith_bhattacharyya(pair1: PairOfDensities, pair2: PairOfDensities,
                       i: float, n: int) -> float:
+    """i-th Hellinger with both exponents 1/2."""
     return ith_hellinger(pair1, pair2, 0.5, 0.5, i, n)
 
 
 def ith_renyi(pair1: PairOfDensities, pair2: PairOfDensities,
               alpha: float, i: float, n: int) -> float:
+    """(1/(alpha-1)) * ln of the order-alpha i-th Hellinger integral."""
     power = make_generator("power", alpha=alpha)
     return _renyi(alpha, lambda: _ith_inputs(_ith_spec(pair1, pair2, power, power, i, n), i))

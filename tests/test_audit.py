@@ -83,6 +83,22 @@ def test_proportional_matching_zero_patterns():
     assert v.proportional
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u, v, proportional", [
+    ([1e-300, 1e-300], [1e300, 1e300], True),  # u = 1e-600 * v
+    ([2.0**1000, 3 * 2.0**1000], [2.0**-1000, 3 * 2.0**-1000], True),
+    ([-(2.0**1000), -3 * 2.0**1000], [2.0**-1074, 3 * 2.0**-1074], True),  # subnormal
+    ([1e-300, 1e-300], [1e300, 2e300], False),
+    # a range beyond the floats inside each vector: 1e-100 and 1e-90 differ
+    ([1e300, 1e-100], [1e300, 1e-90], False),
+])
+def test_proportionality_at_the_ends_of_the_float_range(u, v, proportional):
+    for a, b in ((u, v), (v, u)):
+        verdict = effectively_proportional(a, b)
+        assert verdict.proportional == proportional
+        assert (verdict.ratio_spread == 0.0) == proportional
+
+
 def test_proportional_length_mismatch():
     with pytest.raises(LengthMismatch):
         effectively_proportional([1.0], [1.0, 2.0])
@@ -251,6 +267,32 @@ def test_concave_chain_linear_convex_combination_equality():
     assert rep.equality_expected and rep.equality_observed
     _rel_eq(rep.lhs, 8.0)
     _rel_eq(rep.rhs, 8.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_affine_powers_predict_equality_by_the_linear_remark(two_atom, alpha):
+    # t**1 has the mix p and t**0 the mix q: one common p (or q) agrees
+    p, q1, q2 = two_atom["p1"], two_atom["q1"], two_atom["q2"]
+    pairs = [(p, q1), (p, q2)] if alpha == 1.0 else [(q1, p), (q2, p)]
+    g = make_generator("power", alpha=alpha)
+    triples = [PairTriple(g, *pair) for pair in pairs]
+    reports = [
+        check_concave_upper(triples),
+        check_corollary("concave_0_i_n", triples[0], 2, 0.5, pair2=triples[1]),
+    ]
+    for rep in reports:
+        assert rep.detail["equality_basis"] == "linear-remark", rep.name
+        assert rep.equality_expected and rep.equality_observed, rep.name
+
+
+def test_declared_linear_strict_custom_gets_one_basis(two_atom):
+    g = make_generator("custom", fn=lambda t: t + 1.0, shape="linear", strict=True,
+                       positive=True)
+    t1 = PairTriple(g, two_atom["p1"], two_atom["q1"])
+    t2 = PairTriple(g, two_atom["p2"], two_atom["q2"])
+    chain = check_concave_upper([t1, t2])
+    corollary = check_corollary("concave_0_i_n", t1, 2, 1.0, pair2=t2)
+    assert chain.detail["equality_basis"] == corollary.detail["equality_basis"] == "linear-remark"
 
 
 def test_concave_chain_rejects_convex(two_atom):
@@ -459,6 +501,20 @@ def test_corollary_index_and_shape_errors(two_atom):
     tv_pair = PairTriple(make_generator("tv"), two_atom["p1"], two_atom["q1"])
     with pytest.raises(ShapeMismatch):
         check_corollary("concave_0_i_n", tv_pair, 2, 1.0, pair2=t2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda t1, t2: check_concave_upper([]), IndexOutOfRange, "at least one triple"),
+    (lambda t1, t2: check_corollary("no_such_case", t1, 2, 1.0, pair2=t2),
+     MixdivError, "unknown corollary case"),
+    (lambda t1, t2: check_corollary("ref_concave", t1, 2, 1.0),
+     MixdivError, "needs the f2 generator"),
+    (lambda t1, t2: check_corollary("concave_0_i_n", t1, 2, 1.0),
+     MixdivError, "needs a second triple"),
+])
+def test_unusable_check_arguments_are_typed(two_atom, call, error, match):
+    with pytest.raises(error, match=match):
+        call(*_sqrt_triples(two_atom))
 
 
 @pytest.mark.filterwarnings("error")

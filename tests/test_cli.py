@@ -321,7 +321,22 @@ BAD_DOCUMENTS = {
         "mu": [0.5, 0.5],
         "pairs": [{"p": [1, 1], "q": [2e-100, 1.9999999999999998]}] * 2,
     },
+    "@pair_without_q": {"mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5]}]},
+    "@invalid_json": '{"mu": [1, 1],',
+    "@top_level_list": [1.0, 1.0],
+    "@no_specs": {"mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}]},
+    "@no_pairs": {"mu": [1.0, 1.0]},
+    "@one_pair": {"mu": [1.0, 1.0], "pairs": [{"p": [0.5, 0.5], "q": [0.25, 0.75]}]},
+    "@bodies_not_list": {"bodies": {"semi_axes": [1, 1, 1]}},
+    # a name ending in .csv is written to a .csv file
+    "@empty.csv": "",
+    "@no_atom_mu.csv": "x,mu,p1,q1\n0,1,0.5,0.5\n",
+    "@odd_columns.csv": "atom,mu,p1\n0,1,0.5\n",
+    "@short_row.csv": "atom,mu,p1,q1\n0,1,0.5\n",
+    "@non_numeric.csv": "atom,mu,p1,q1\n0,1,abc,0.5\n",
 }
+
+BALL = '{"semi_axes":[1,1,1]}'
 
 #: rows whose error must also reach stderr as exactly one ``error:`` line
 VALUE_ERROR_ARGV = [
@@ -334,7 +349,7 @@ def _with_documents(argv, tmp_path):
     """``argv`` with each "@name" argument written to a file and replaced by its path."""
     for name, doc in BAD_DOCUMENTS.items():
         if name in argv:
-            path = tmp_path / "bad.json"
+            path = tmp_path / ("bad.csv" if name.endswith(".csv") else "bad.json")
             path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             argv = [str(path) if a == name else a for a in argv]
     return argv
@@ -386,9 +401,26 @@ def _with_documents(argv, tmp_path):
     ["compute", "--f", '{"kind":"tv"}', "--input", "@deep_nesting"],
     ["geometry", "--input", "@deep_nesting"],
     *VALUE_ERROR_ARGV,
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@empty.csv"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@no_atom_mu.csv"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@odd_columns.csv"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@short_row.csv"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@non_numeric.csv"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@pair_without_q"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@invalid_json"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@top_level_list"],
+    ["compute", "--input", "@no_specs"],
+    ["compute", "--f", '{"kind":"tv"}', "--input", "@no_pairs"],
+    ["ith", "--f", '{"kind":"tv"}', "--input", "@one_pair"],
+    ["dissimilarity"],
+    ["dissimilarity"] + ["--f", '{"kind":"matusita","arity":2}'] * 2,
+    ["geometry", "--input", "@bodies_not_list"],
+    ["geometry", "--i", "1"] + ["--body", BALL] * 3,
+    ["geometry", "--i", "1"] + ["--body", BALL] * 2 + ["--f", '{"kind":"sqrt"}'] * 3,
+    ["geometry"] + ["--body", BALL] * 2 + ["--f", '{"kind":"sqrt"}'] * 3,
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
-def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path):
+def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path, capsys):
     out = tmp_path / "r.json"
     argv = _with_documents(argv, tmp_path)
     if argv[0] not in ("audit", "geometry") and "--input" not in argv:
@@ -396,6 +428,8 @@ def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path
     assert main(argv + ["--output", str(out)]) == 1
     error = json.loads(out.read_text())["error"]
     assert error["type"] and error["message"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 @pytest.mark.parametrize("argv", VALUE_ERROR_ARGV)

@@ -37,11 +37,12 @@ from mixdiv import (
     toussaint_affinity,
     validate_density,
 )
-from mixdiv import divergence
+from mixdiv import divergence, generators
 from mixdiv.divergence import weighted_product_integral
-from mixdiv.generators import scale_generator
+from mixdiv.generators import generator_from_spec, scale_generator
 from mixdiv.errors import (
     ArityMismatch,
+    EmptySpace,
     IndexOutOfRange,
     LengthMismatch,
     MixdivError,
@@ -462,6 +463,21 @@ def test_weighted_product_integral_zero_rules():
             weighted_product_integral(space, factors, exponents)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda pair: mixed_hellinger([pair, pair], [0.5]), ArityMismatch, "2 pairs vs 1 generators"),
+    (lambda pair: make_space([[1.0, 2.0]]), MixdivError, "one-dimensional"),
+    (lambda pair: make_vector([]), EmptySpace, "at least one density"),
+    (lambda pair: toussaint_affinity([-0.5, 1.5]), MixdivError, ">= 0 and sum to 1"),
+    (lambda pair: toussaint_affinity("ab"), MixdivError, "must be a list"),
+    (lambda pair: matusita_affinity(1.5), MixdivError, "integer >= 1"),
+    (lambda pair: scale_generator(make_generator("tv"), 0.0), MixdivError, "finite and > 0"),
+    (lambda pair: generator_from_spec("tv"), MixdivError, "an object with a string 'kind'"),
+])
+def test_unusable_arguments_are_typed(two_atom, call, error, match):
+    with pytest.raises(error, match=match):
+        call((two_atom["p1"], two_atom["q1"]))
+
+
 def _term_spy(monkeypatch):
     """Record the per-atom terms each divergence hands to the exact sum."""
     captured = []
@@ -524,6 +540,52 @@ def test_per_atom_terms_independent_of_batch_and_position(name, monkeypatch):
     perm = rng.permutation(atoms)
     evaluate(_restrict(triples, perm))
     assert np.array_equal(captured[-1], batch[perm])
+
+
+def _gather_instance(atoms):
+    """kl+, tv and sqrt pairs on a space of mass just below 1, so every term is
+    near and the kernel gathers the live ones; p < q on about half of the
+    atoms (kl+ factor 0) and p == q on every eighth (tv factor 0)."""
+    rng = np.random.default_rng(atoms)
+    w = rng.uniform(0.5, 2.0, atoms)
+    space = make_space(w / (w.sum() * (1.0 + 1e-12)))
+    triples = []
+    for kind in ("kl+", "tv", "sqrt"):
+        p = np.exp(rng.uniform(-2.0, 2.0, atoms))
+        q = p * np.exp(rng.uniform(-1.0, 1.0, atoms))
+        q[::8] = p[::8]
+        triples.append(PairTriple(make_generator(kind), validate_density(space, p),
+                                  validate_density(space, q)))
+    return space, triples
+
+
+_GATHERED = {  # name -> (engine call, oracle call on (fs, ps, qs, mu))
+    "f_divergence_kl": (lambda ts: f_divergence(ts[0].generator, ts[0].p, ts[0].q),
+                        lambda fs, ps, qs, mu: oracles.direct_f_divergence(fs[0], ps[0], qs[0], mu)),
+    "f_divergence_tv": (lambda ts: f_divergence(ts[1].generator, ts[1].p, ts[1].q),
+                        lambda fs, ps, qs, mu: oracles.direct_f_divergence(fs[1], ps[1], qs[1], mu)),
+    "mixed": (mixed_divergence, oracles.direct_mixed),
+    "ith": (lambda ts: ith_mixed(IthMixedSpec(ts[0], ts[1], i=0.7, n=2)),
+            lambda fs, ps, qs, mu: oracles.direct_ith(fs[0], ps[0], qs[0], fs[1], ps[1], qs[1],
+                                                      0.7, 2, mu)),
+}
+
+
+@pytest.mark.parametrize("atoms", [4096, 16384])
+@pytest.mark.parametrize("name", sorted(_GATHERED))
+def test_gathered_zero_terms_keep_every_bit(atoms, name, monkeypatch):
+    # from _GATHER_MIN atoms on, zero factors skip kl's logs and the kernel's
+    # exp; the value must be the one the ungathered path gives, bit for bit
+    evaluate, oracle = _GATHERED[name]
+    space, triples = _gather_instance(atoms)
+    gathered = evaluate(triples)
+    monkeypatch.setattr(divergence, "_GATHER_MIN", atoms + 1)
+    monkeypatch.setattr(generators, "_GATHER_MIN", atoms + 1)
+    assert evaluate(_gather_instance(atoms)[1]) == gathered  # fresh triples: no cached factors
+    fs = [oracles.klp, oracles.tv, oracles.power(0.5)]
+    ps = [t.p.values.tolist() for t in triples]
+    qs = [t.q.values.tolist() for t in triples]
+    _rel_eq(gathered, oracle(fs, ps, qs, space.weights.tolist()), rel=1e-12)
 
 
 def test_gathered_terms_match_single_atoms(monkeypatch):
