@@ -10,6 +10,16 @@ equality, but observed equality without a detected condition is reported,
 never raised. A side, or a power inside one, that is beyond the float range
 raises a MixdivError that names the check.
 
+Predictions read each triple's cached log-factors log(q * f(p/q)), never a
+linear copy, so no prediction fails because one atom's factor is beyond the
+float range. A Holder factor is a weighted sum of log-factors, and two
+factors are proportional when their zero atoms (log -inf) coincide and the
+log differences d are nearly constant: with r = exp(d - max d) in each
+direction, the spread (max r - min r) / mean r is at most the tolerance.
+:func:`effectively_proportional` applies the same rule to log|u| and
+log|v| of linear vectors, after a sign rule, and rejects NaN or infinite
+entries with a MixdivError.
+
 Chain checks (the concave product bound) conjoin the per-link verdicts into
 ``holds``; the individual link slacks are kept in ``detail``.
 
@@ -191,13 +201,13 @@ def _agree(vectors: Sequence[np.ndarray], tol: float) -> bool:
 def _equality_basis(pairs: Sequence[PairTriple], gens: Sequence[Generator], tol: Tolerances,
                     strict_label: str, linear_remark: bool = True) -> tuple[str, bool]:
     """(equality_basis, equality_expected) of a Holder or Jensen bound on
-    ``pairs`` whose generator shapes are those of ``gens``: all affine (with
-    ``linear_remark``) predicts equality where the mixes (a*p + b*q)/(a + b)
-    agree, otherwise all strict predicts it where every density is one
-    common density."""
-    if linear_remark and all(g.is_linear for g in gens):
+    ``pairs`` whose generator shapes are those of ``gens``: all affine and
+    not identically 0 (with ``linear_remark``) predicts equality where the
+    mixes (a*p + b*q)/(a + b) agree, otherwise all strict predicts it where
+    every density is one common density."""
+    if linear_remark and all(g.is_linear and g(1.0) > 0.0 for g in gens):
         # f(p/q)*q / f(1) is (a*p + b*q)/(a + b) for f = a*t + b, at any scale
-        mixes = [t.integrand_factor / t.generator(1.0) for t in pairs]
+        mixes = [np.exp(t.log_integrand_factor - math.log(t.generator(1.0))) for t in pairs]
         return "linear-remark", _agree(mixes, tol.prop)
     if all(g.strict for g in gens):
         return strict_label, _agree([d.values for t in pairs for d in (t.p, t.q)], tol.prop)
@@ -212,49 +222,60 @@ def effectively_proportional(
     """Decide whether a*u = b*v holds for constants (a, b) != (0, 0).
 
     A null vector is proportional to anything. Otherwise the zero patterns
-    must coincide and the pointwise ratios must agree: the reported spread
-    is (max - min) / |mean| of the ratios, maximized over both ratio
-    directions so the verdict is symmetric in u and v and invariant under
-    positive scaling of either argument.
+    must coincide, the signs of u and v must agree everywhere or differ
+    everywhere, and the pointwise ratios |u|/|v| must agree. They are read
+    as log differences d = log|u| - log|v|: with r = exp(d - max d), the
+    reported spread is (max r - min r) / mean r, maximized over both ratio
+    directions, so the verdict is symmetric in u and v, invariant under
+    positive scaling of either argument, and no ratio overflows however far
+    apart u and v lie in the float range.
+
+    Raises LengthMismatch for vectors of different shapes and MixdivError
+    for a NaN or infinite entry.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise LengthMismatch(f"{u.size} values vs {v.size} values")
-    if not u.any():
-        return ProportionalityVerdict(True, 0, 0.0)
-    if not v.any():
-        return ProportionalityVerdict(True, 1, 0.0)
-    zu = u == 0.0
-    if not np.array_equal(zu, v == 0.0):
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise MixdivError("proportionality needs finite values, not NaN or infinite ones")
+    signs = np.sign(u) * np.sign(v)
+    if (signs < 0.0).any() and (signs > 0.0).any():
         return ProportionalityVerdict(False, None, math.inf)
-    # u = mu * 2**eu: each ratio is mu/mv * 2**(eu - ev), taken relative to
-    # the largest power 2**max(eu - ev) so that no ratio overflows; exact
-    # while the ratios u/v span less than the normal float range, which
-    # covers every case that can come out proportional
-    (mu, eu), (mv, ev) = np.frexp(u[~zu]), np.frexp(v[~zu])
-    r = mu / mv  # no zeros: mixed signs are min < 0 < max
-    if r.min() < 0.0 < r.max():
+    with np.errstate(divide="ignore"):
+        return _log_proportional(np.log(np.abs(u)), np.log(np.abs(v)), eps_prop)
+
+
+def _log_proportional(la: np.ndarray, lb: np.ndarray, eps: float) -> ProportionalityVerdict:
+    """Effective proportionality of two nonnegative vectors given by their
+    logs (-inf for a zero); see :func:`effectively_proportional`."""
+    for idx, lw in enumerate((la, lb)):
+        if not (lw > -math.inf).any():
+            return ProportionalityVerdict(True, idx, 0.0)
+    live = la > -math.inf
+    if not np.array_equal(live, lb > -math.inf):
         return ProportionalityVerdict(False, None, math.inf)
-    spread = 0.0
-    for m, e in ((r, eu - ev), (mv / mu, ev - eu)):
-        ratios = np.ldexp(m, e - e.max())  # all below 2 in magnitude, one above 0.5
-        mean = abs(float(ratios.mean()))
-        spread = max(spread, (float(ratios.max()) - float(ratios.min())) / mean)
-    return ProportionalityVerdict(bool(spread <= eps_prop), None, float(spread))
+    with np.errstate(over="ignore"):  # a log difference beyond the float range is inf
+        d = la[live] - lb[live]
+        if not np.isfinite(d).all():
+            return ProportionalityVerdict(False, None, math.inf)
+        # the ratios in each direction, scaled so that the largest is 1
+        spread = max((1.0 - float(r.min())) / float(r.mean())
+                     for r in (np.exp(d - d.max()), np.exp(d.min() - d)))
+    return ProportionalityVerdict(bool(spread <= eps), None, spread)
 
 
 def _mutually_proportional(
-    vectors: Sequence[np.ndarray], eps_prop: float
+    log_vectors: Sequence[np.ndarray], eps_prop: float
 ) -> tuple[bool, Optional[int], float]:
-    """Null member or pairwise effective proportionality of a family."""
-    for idx, w in enumerate(vectors):
-        if not np.asarray(w).any():
+    """Null member or pairwise effective proportionality of a family given by logs."""
+    for idx, lw in enumerate(log_vectors):
+        if not (lw > -math.inf).any():
             return True, idx, 0.0
     worst = 0.0
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            verdict = effectively_proportional(vectors[a], vectors[b], eps_prop)
+    for a in range(len(log_vectors)):
+        for b in range(a + 1, len(log_vectors)):
+            verdict = _log_proportional(log_vectors[a], log_vectors[b], eps_prop)
             worst = max(worst, verdict.ratio_spread)
             if not verdict.proportional:
                 return False, None, worst
@@ -313,11 +334,9 @@ def check_alexandrov_fenchel(
     lhs = _power("alexandrov_fenchel", base, m)
     rhs = math.prod(substituted)
 
-    factors = [t.integrand_factor for t in triples]
-    g0 = np.ones(triples[0].space.n_atoms)
-    for w in factors[: n - m]:
-        g0 = g0 * w ** (1.0 / n)
-    holder = [g0 ** (1.0 / m) * factors[n - 1 - j] ** (1.0 / n) for j in range(m)]
+    logs = [t.log_integrand_factor for t in triples]
+    g0 = sum((lw / n for lw in logs[: n - m]), np.zeros(triples[0].space.n_atoms))
+    holder = [g0 / m + logs[n - 1 - j] / n for j in range(m)]
     expected, null_idx, spread = _mutually_proportional(holder, tolerances.prop)
 
     detail = {
@@ -440,8 +459,8 @@ def check_interpolation(
     if i == j or i == k:
         expected, spread = True, 0.0
     else:
-        verdict = effectively_proportional(
-            pair1.integrand_factor, pair2.integrand_factor, tolerances.prop
+        verdict = _log_proportional(
+            pair1.log_integrand_factor, pair2.log_integrand_factor, tolerances.prop
         )
         expected, spread = verdict.proportional, verdict.ratio_spread
 

@@ -128,20 +128,6 @@ class PairTriple:
         evaluated separately; read-only, and raises as :attr:`log_integrand_factor`."""
         return _log_factor(adjoint(self.generator), self.q, self.p)
 
-    @cached_property
-    def integrand_factor(self) -> np.ndarray:
-        """Per-atom values of f(p/q) * q, read-only: the ``exp`` of
-        :attr:`log_integrand_factor`, formed only if something reads it.
-
-        Raises MixdivError, naming the atom, where a value is beyond the float range."""
-        with np.errstate(over="ignore"):
-            out = np.exp(self.log_integrand_factor)
-        if not out.max() < math.inf:
-            raise MixdivError(f"integrand factor of {self.generator.label} is not finite "
-                              f"at atom {_atom_repr(self.space, np.argmax(out))}")
-        out.setflags(write=False)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class IthMixedSpec:

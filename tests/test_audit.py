@@ -91,12 +91,26 @@ def test_proportional_matching_zero_patterns():
     ([1e-300, 1e-300], [1e300, 2e300], False),
     # a range beyond the floats inside each vector: 1e-100 and 1e-90 differ
     ([1e300, 1e-100], [1e300, 1e-90], False),
+    # the sign rule: the signs must agree everywhere or differ everywhere
+    ([1.0, -2.0], [1.0, 2.0], False),
+    ([-1.0, -2.0], [1.0, 2.0], True),
 ])
 def test_proportionality_at_the_ends_of_the_float_range(u, v, proportional):
     for a, b in ((u, v), (v, u)):
         verdict = effectively_proportional(a, b)
         assert verdict.proportional == proportional
         assert (verdict.ratio_spread == 0.0) == proportional
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u, v", [
+    ([math.nan, 1.0], [1.0, 1.0]),
+    ([math.inf, 1.0], [math.inf, 1.0]),
+])
+def test_proportionality_of_non_finite_values_is_typed(u, v):
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(MixdivError, match="not NaN or infinite"):
+            effectively_proportional(a, b)
 
 
 def test_proportional_length_mismatch():
@@ -293,6 +307,16 @@ def test_declared_linear_strict_custom_gets_one_basis(two_atom):
     chain = check_concave_upper([t1, t2])
     corollary = check_corollary("concave_0_i_n", t1, 2, 1.0, pair2=t2)
     assert chain.detail["equality_basis"] == corollary.detail["equality_basis"] == "linear-remark"
+
+
+@pytest.mark.filterwarnings("error")
+def test_identically_zero_linear_generator_has_no_linear_remark(two_atom):
+    # f = 0*t + 0: every factor is null and the mixes (a*p + b*q)/(a + b) are undefined
+    g = make_generator("custom", fn=lambda t: 0.0, shape="linear")
+    t = PairTriple(g, two_atom["p1"], two_atom["q1"])
+    rep = check_concave_upper([t, t])
+    assert rep.holds and rep.lhs == rep.rhs == 0.0
+    assert rep.detail["equality_basis"] == "none" and not rep.equality_expected
 
 
 def test_concave_chain_rejects_convex(two_atom):
@@ -501,6 +525,8 @@ def test_corollary_index_and_shape_errors(two_atom):
     tv_pair = PairTriple(make_generator("tv"), two_atom["p1"], two_atom["q1"])
     with pytest.raises(ShapeMismatch):
         check_corollary("concave_0_i_n", tv_pair, 2, 1.0, pair2=t2)
+    with pytest.raises(ShapeMismatch, match="f1 power.2. must be concave"):
+        check_corollary("concave_0_i_n", cv, 2, 1.0, pair2=t2)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -541,6 +567,26 @@ def test_sides_beyond_the_float_range_are_typed():
     convex = PairTriple(make_generator("power", alpha=2.0), p, q)
     with pytest.raises(MixdivError, match="^corollary_ref_convex: "):
         check_corollary("ref_convex", convex, 4, 6.0, f2=f2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_equality_predictions_read_the_log_factors():
+    import mpmath
+
+    # q * f(p/q) = 2.5e599 at atom 0 is beyond the float range, but the atom's
+    # weight 1e-300 brings the divergence to about 2.5e299
+    space = make_space([1e-300, 1.0])
+    p = validate_density(space, [5e299, 0.5], require_prob=True)
+    q = validate_density(space, [1.0, 1.0], require_prob=True)
+    t = PairTriple(make_generator("power", alpha=2.0), p, q)
+    rep = check_alexandrov_fenchel([t], 1)
+    assert rep.holds and rep.equality_expected and rep.equality_observed
+    with mpmath.workprec(200):
+        want = mpmath.fsum(mpmath.mpf(m) * mpmath.mpf(a) ** 2 / mpmath.mpf(b)
+                           for m, a, b in zip(space.weights, p.values, q.values))
+        assert abs(mpmath.mpf(rep.detail["mixed_value"]) / want - 1) <= 1e-13
+    rep = check_interpolation(t, PairTriple(make_generator("sqrt"), p, q), n=2, i=0.5, j=0, k=1)
+    assert rep.holds and math.isfinite(rep.detail["proportionality_spread"])
 
 
 # --- the randomized suite -----------------------------------------------------------------------

@@ -669,7 +669,7 @@ def test_overflowing_integrand_factor_is_typed():
     import mpmath
 
     # a factor beyond the float range, in an integral within it: every
-    # functional gives the value, and only the linear factor itself raises
+    # functional gives the value
     t = _overflow_triple(1e-100)
     with mpmath.workprec(200):
         mu, p, q = ([mpmath.mpf(float(v)) for v in arr]
@@ -679,8 +679,6 @@ def test_overflowing_integrand_factor_is_typed():
             got = case()
             assert abs(mpmath.mpf(got) / want - 1) <= 1e-13, (got, want)
     assert np.isfinite(t.log_integrand_factor).all() and np.isfinite(t.log_adjoint_factor).all()
-    with pytest.raises(MixdivError, match="integrand factor of power.2. is not finite at atom 0"):
-        t.integrand_factor
     # the same factor with mu = (1, 1): the integral, about 1e350, is beyond range
     t = _overflow_triple(1.0)
     for case in _overflow_cases(t):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixdiv import adjoint, eval_generator, make_generator
+from mixdiv import (
+    adjoint,
+    eval_generator,
+    f_divergence,
+    make_generator,
+    make_space,
+    validate_density,
+)
 from mixdiv.errors import (
     InvalidLinear,
     MixdivError,
@@ -13,7 +20,7 @@ from mixdiv.errors import (
     NonpositiveArgument,
     ShapeMismatch,
 )
-from mixdiv.generators import generator_from_spec, scale_generator
+from mixdiv.generators import generator_from_spec, multivariate_from_spec, scale_generator
 
 from conftest import catalog_generators
 
@@ -217,6 +224,24 @@ def test_custom_positive_claim_checked():
         make_generator("custom", fn=lambda t: abs(t - 1.0), shape="convex", positive=True)
 
 
+def test_custom_generator_misuse_is_typed():
+    with pytest.raises(MixdivError, match="unknown shape 'wavy'"):
+        make_generator("custom", fn=lambda t: t, shape="wavy")
+    with pytest.raises(MixdivError, match="custom generator not finite at t="):
+        make_generator("custom", fn=lambda t: math.inf if t > 2.0 else 1.0, shape="linear")
+    with pytest.raises(ShapeMismatch, match="declared positive but value 0.0 at t="):
+        make_generator("custom", fn=lambda t: max(0.0, 2.0 - t), shape="convex", positive=True)
+    # declared linear and constant on the sampled range [2**-10, 2**10], negative beyond it
+    step = make_generator("custom", fn=lambda t: 1.0 if t <= 2.0**10 else -1.0, shape="linear")
+    with pytest.raises(NegativeValue, match="custom generator returned a negative value"):
+        step(4000.0)
+    space = make_space([1.0, 1.0])
+    p = validate_density(space, [1e300, 1.0], require_prob=False)
+    q = validate_density(space, [1e-300, 1.0], require_prob=False)
+    with pytest.raises(NonpositiveArgument, match="argument p/q is not finite"):
+        f_divergence(step, p, q)
+
+
 def test_scale_generator():
     g = make_generator("power", alpha=2.0)
     h = scale_generator(g, 3.0)
@@ -251,3 +276,8 @@ def test_generator_from_spec():
     assert generator_from_spec({"kind": "tv"}).kind == "total_variation"
     assert generator_from_spec({"kind": "kl+"}).kind == "kl_positive_part"
     assert generator_from_spec({"kind": "linear", "a": 1, "b": 0}).params == (1.0, 0.0)
+
+
+def test_unknown_multivariate_kind_is_typed():
+    with pytest.raises(MixdivError, match="unknown multivariate kind 'nope'"):
+        multivariate_from_spec({"kind": "nope"})

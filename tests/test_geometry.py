@@ -153,6 +153,8 @@ def test_dimension_mismatch():
         body_densities(ball(1.0, 2), grid)
     with pytest.raises(DimensionMismatch):
         mixed_affine_surface_area([ball(1.0, 3)] * 2, [QUARTER_POWER] * 2, grid)
+    with pytest.raises(DimensionMismatch, match="2 generators for 3 bodies"):
+        mixed_affine_surface_area([ball(1.0, 3)] * 3, [QUARTER_POWER] * 2, grid)
     with pytest.raises(DimensionMismatch):
         ith_mixed_affine_surface_area(
             ball(1.0, 3), ball(2.0, 3), [QUARTER_POWER], 1.0, grid
