@@ -1,27 +1,35 @@
 """Numerical audits of the divergence inequalities and their equality cases.
 
 Each check computes both sides of one stated inequality, reports the signed
-slack (rhs - lhs), a ``holds`` verdict at a relative tolerance, and an
-equality verdict: ``equality_expected`` is predicted from the known equality
-conditions (proportional integrands, identical densities, linear
-generators), ``equality_observed`` measures whether the slack actually
-vanished. Prediction is one-directional: a detected condition must force
-equality, but observed equality without a detected condition is reported,
-never raised. A side, or a power inside one, that is beyond the float range
+slack (rhs - lhs), a ``holds`` verdict, and an equality verdict:
+``equality_expected`` is predicted from the known equality conditions
+(proportional integrands, identical densities, linear generators),
+``equality_observed`` measures whether the slack actually vanished.
+Prediction is one-directional: a detected condition must force equality,
+but observed equality without a detected condition is reported, never
+raised. A side, or a power inside one, that is beyond the float range
 raises a MixdivError that names the check.
+
+One rule judges every inequality lhs <= rhs (:func:`_holds`): it holds when
+rhs - lhs >= -eps_ineq * max(1, |rhs|). Chain checks (the concave product
+bound) apply it to each link and conjoin the link verdicts into ``holds``;
+the individual link slacks are kept in ``detail``. One rule tells close
+vectors apart (:func:`_agree`): max |u - v| is at most the tolerance times
+the largest |entry| of u and v.
 
 Predictions read each triple's cached log-factors log(q * f(p/q)), never a
 linear copy, so no prediction fails because one atom's factor is beyond the
-float range. A Holder factor is a weighted sum of log-factors, and two
-factors are proportional when their zero atoms (log -inf) coincide and the
-log differences d are nearly constant: with r = exp(d - max d) in each
-direction, the spread (max r - min r) / mean r is at most the tolerance.
-:func:`effectively_proportional` applies the same rule to log|u| and
-log|v| of linear vectors, after a sign rule, and rejects NaN or infinite
-entries with a MixdivError.
-
-Chain checks (the concave product bound) conjoin the per-link verdicts into
-``holds``; the individual link slacks are kept in ``detail``.
+float range. A Holder factor is a weighted sum of log-factors. One rule
+decides proportionality (:func:`_mutually_proportional`), for a family of
+nonnegative vectors given by their logs: the family is proportional when a
+member is null (every log -inf); otherwise each pair, in order, must have
+the same zero atoms (log -inf), finite log differences d, and a spread at
+most eps_prop, where with r = exp(d - max d) in each direction the spread
+is (max r - min r) / mean r. The spread reported is the largest seen up to
+the first pair that fails, inf for differing zeros or a log difference
+beyond the float range. AF's Holder factors, interpolation's two
+log-factors and :func:`effectively_proportional`'s log|u| and log|v| (after
+a sign rule; NaN or infinite entries raise a MixdivError) all go through it.
 
 ``audit_suite`` runs seeded randomized instances of every check plus the
 engine's identity properties and returns the reports in a deterministic
@@ -135,7 +143,7 @@ def _report(
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise MixdivError(f"{name}: side beyond the float range (lhs {lhs!r}, rhs {rhs!r})")
     slack = rhs - lhs
-    holds = bool(slack >= -tol.ineq * max(1.0, abs(rhs))) and bool(extra_holds)
+    holds = _holds(lhs, rhs, tol) and bool(extra_holds)
     scale = max(1.0, abs(lhs), abs(rhs))
     observed = bool(holds and abs(slack) <= tol.eq * scale)
     return AuditReport(
@@ -149,6 +157,11 @@ def _report(
         tolerances=tol,
         detail=detail,
     )
+
+
+def _holds(lhs: float, rhs: float, tol: Tolerances) -> bool:
+    """The inequality verdict lhs <= rhs: rhs - lhs >= -ineq * max(1, |rhs|)."""
+    return bool(rhs - lhs >= -tol.ineq * max(1.0, abs(rhs)))
 
 
 def _power(check: str, base: float, exponent: float) -> float:
@@ -188,14 +201,12 @@ def _require_prob(triples: Sequence[PairTriple], what: str) -> None:
             raise NotProbability(f"{what} requires probability-certified densities")
 
 
-def _rel_close(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    scale = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-300)
-    return float(np.max(np.abs(u - v))) <= tol * scale
-
-
 def _agree(vectors: Sequence[np.ndarray], tol: float) -> bool:
-    """Every vector is relatively close to the first."""
-    return all(_rel_close(vectors[0], v, tol) for v in vectors[1:])
+    """Every vector v is relatively close to the first, u: max |u - v| is at
+    most tol times the largest |entry| of u and v (at least 1e-300)."""
+    u, top = vectors[0], float(np.max(np.abs(vectors[0])))
+    return all(float(np.max(np.abs(u - v))) <= tol * max(top, float(np.max(np.abs(v))), 1e-300)
+               for v in vectors[1:])
 
 
 def _equality_basis(pairs: Sequence[PairTriple], gens: Sequence[Generator], tol: Tolerances,
@@ -221,14 +232,14 @@ def effectively_proportional(
 ) -> ProportionalityVerdict:
     """Decide whether a*u = b*v holds for constants (a, b) != (0, 0).
 
-    A null vector is proportional to anything. Otherwise the zero patterns
-    must coincide, the signs of u and v must agree everywhere or differ
-    everywhere, and the pointwise ratios |u|/|v| must agree. They are read
-    as log differences d = log|u| - log|v|: with r = exp(d - max d), the
-    reported spread is (max r - min r) / mean r, maximized over both ratio
-    directions, so the verdict is symmetric in u and v, invariant under
-    positive scaling of either argument, and no ratio overflows however far
-    apart u and v lie in the float range.
+    The signs of u and v must agree everywhere or differ everywhere (else
+    the spread is inf). Then log|u| and log|v| go through the audit's one
+    proportionality rule (see the module docstring): a null vector is
+    proportional to anything; otherwise the zero patterns must coincide and
+    the pointwise ratios |u|/|v| must agree, their spread maximized over
+    both ratio directions. So the verdict is symmetric in u and v,
+    invariant under positive scaling of either argument, and no ratio
+    overflows however far apart u and v lie in the float range.
 
     Raises LengthMismatch for vectors of different shapes and MixdivError
     for a NaN or infinite entry.
@@ -243,43 +254,34 @@ def effectively_proportional(
     if (signs < 0.0).any() and (signs > 0.0).any():
         return ProportionalityVerdict(False, None, math.inf)
     with np.errstate(divide="ignore"):
-        return _log_proportional(np.log(np.abs(u)), np.log(np.abs(v)), eps_prop)
+        return _mutually_proportional([np.log(np.abs(u)), np.log(np.abs(v))], eps_prop)
 
 
-def _log_proportional(la: np.ndarray, lb: np.ndarray, eps: float) -> ProportionalityVerdict:
-    """Effective proportionality of two nonnegative vectors given by their
-    logs (-inf for a zero); see :func:`effectively_proportional`."""
-    for idx, lw in enumerate((la, lb)):
+def _mutually_proportional(logs: Sequence[np.ndarray], eps: float) -> ProportionalityVerdict:
+    """Effective proportionality of a family of nonnegative vectors given by
+    their logs (-inf for a zero); see the module docstring. A null member
+    makes the family proportional. Otherwise each pair, in order, must have
+    equal zero patterns, finite log differences and a spread <= eps; the
+    spread reported is the largest seen up to the first pair that fails."""
+    for idx, lw in enumerate(logs):
         if not (lw > -math.inf).any():
             return ProportionalityVerdict(True, idx, 0.0)
-    live = la > -math.inf
-    if not np.array_equal(live, lb > -math.inf):
-        return ProportionalityVerdict(False, None, math.inf)
-    with np.errstate(over="ignore"):  # a log difference beyond the float range is inf
-        d = la[live] - lb[live]
-        if not np.isfinite(d).all():
-            return ProportionalityVerdict(False, None, math.inf)
-        # the ratios in each direction, scaled so that the largest is 1
-        spread = max((1.0 - float(r.min())) / float(r.mean())
-                     for r in (np.exp(d - d.max()), np.exp(d.min() - d)))
-    return ProportionalityVerdict(bool(spread <= eps), None, spread)
-
-
-def _mutually_proportional(
-    log_vectors: Sequence[np.ndarray], eps_prop: float
-) -> tuple[bool, Optional[int], float]:
-    """Null member or pairwise effective proportionality of a family given by logs."""
-    for idx, lw in enumerate(log_vectors):
-        if not (lw > -math.inf).any():
-            return True, idx, 0.0
     worst = 0.0
-    for a in range(len(log_vectors)):
-        for b in range(a + 1, len(log_vectors)):
-            verdict = _log_proportional(log_vectors[a], log_vectors[b], eps_prop)
-            worst = max(worst, verdict.ratio_spread)
-            if not verdict.proportional:
-                return False, None, worst
-    return True, None, worst
+    for a, la in enumerate(logs):
+        for lb in logs[a + 1:]:
+            live = la > -math.inf
+            if not np.array_equal(live, lb > -math.inf):
+                return ProportionalityVerdict(False, None, math.inf)
+            with np.errstate(over="ignore"):  # a log difference beyond the float range is inf
+                d = la[live] - lb[live]
+                if not np.isfinite(d).all():
+                    return ProportionalityVerdict(False, None, math.inf)
+                # the ratios in each direction, scaled so that the largest is 1
+                worst = max(worst, *((1.0 - float(r.min())) / float(r.mean())
+                                     for r in (np.exp(d - d.max()), np.exp(d.min() - d))))
+            if not worst <= eps:
+                return ProportionalityVerdict(False, None, worst)
+    return ProportionalityVerdict(True, None, worst)
 
 
 # --- substitution vectors ---------------------------------------------------------
@@ -337,7 +339,7 @@ def check_alexandrov_fenchel(
     logs = [t.log_integrand_factor for t in triples]
     g0 = sum((lw / n for lw in logs[: n - m]), np.zeros(triples[0].space.n_atoms))
     holder = [g0 / m + logs[n - 1 - j] / n for j in range(m)]
-    expected, null_idx, spread = _mutually_proportional(holder, tolerances.prop)
+    verdict = _mutually_proportional(holder, tolerances.prop)
 
     detail = {
         "shape": shape,
@@ -346,11 +348,11 @@ def check_alexandrov_fenchel(
         "mixed_value": float(base),
         "substituted_values": [float(v) for v in substituted],
         "pair_divergences": [float(_pair_divergence(t)) for t in triples],
-        "proportionality_spread": float(spread),
+        "proportionality_spread": float(verdict.ratio_spread),
     }
-    if null_idx is not None:
-        detail["null_factor_index"] = int(null_idx)
-    return _report("alexandrov_fenchel", lhs, rhs, tolerances, expected, detail)
+    if verdict.null_factor_index is not None:
+        detail["null_factor_index"] = int(verdict.null_factor_index)
+    return _report("alexandrov_fenchel", lhs, rhs, tolerances, verdict.proportional, detail)
 
 
 # --- the concave product chain ----------------------------------------------------
@@ -380,8 +382,7 @@ def check_concave_upper(
     pair_divergences = [_pair_divergence(t) for t in triples]
     middle = math.prod(pair_divergences)
     rhs = math.prod(t.generator(1.0) for t in triples)
-    link1 = middle - lhs >= -tolerances.ineq * max(1.0, abs(middle))
-    link2 = rhs - middle >= -tolerances.ineq * max(1.0, abs(rhs))
+    links_hold = _holds(lhs, middle, tolerances) and _holds(middle, rhs, tolerances)
 
     gens = [t.generator for t in triples]
     basis, expected = _equality_basis(triples, gens, tolerances, "strict-concave")
@@ -395,7 +396,7 @@ def check_concave_upper(
     }
     return _report(
         "concave_product_chain", lhs, rhs, tolerances, expected, detail,
-        extra_holds=link1 and link2,
+        extra_holds=links_hold,
     )
 
 
@@ -416,7 +417,7 @@ def check_jensen_bound(
         extra = abs(rhs - lhs) <= tolerances.ineq * max(1.0, abs(rhs))
     else:
         lhs, rhs, direction = (f_one, value, "lower") if g.is_convex else (value, f_one, "upper")
-        expected = g.strict and _rel_close(p.values, q.values, tolerances.prop)
+        expected = g.strict and _agree([p.values, q.values], tolerances.prop)
     detail = {
         "generator": g.label,
         "shape": g.shape,
@@ -459,8 +460,8 @@ def check_interpolation(
     if i == j or i == k:
         expected, spread = True, 0.0
     else:
-        verdict = _log_proportional(
-            pair1.log_integrand_factor, pair2.log_integrand_factor, tolerances.prop
+        verdict = _mutually_proportional(
+            [pair1.log_integrand_factor, pair2.log_integrand_factor], tolerances.prop
         )
         expected, spread = verdict.proportional, verdict.ratio_spread
 

@@ -27,12 +27,13 @@ smallest float still counts. A log-factor that is +inf or NaN (a log beyond
 the float range, from an exponent near 1e308, say) raises a typed error
 that names the atom. Each :class:`PairTriple` caches its two log-factors.
 
-One private kernel integrates every functional. :func:`_integral` sums
-``acc += e_i * log(w_i)`` elementwise, one loop over the log-factors in the
-order given, with exponent-0 factors skipped (so ``0**0`` = 1).
-:func:`_exp_integral` then forms each atom's term exp(acc) * mu, one
-``exp`` per atom, and sums the terms exactly (f_divergence and paired
-dissimilarities, one factor to the power 1, enter here). Where exp(acc) is
+One private kernel integrates every functional, in two steps that every
+entry calls directly. :func:`_log_terms` sums ``acc += e_i * log(w_i)``
+elementwise, one loop over the log-factors in the order given, with
+exponent-0 factors skipped (so ``0**0`` = 1). :func:`_exp_integral` then
+forms each atom's term exp(acc) * mu, one ``exp`` per atom, and sums the
+terms exactly (f_divergence, one factor to the power 1, enters here, and a
+paired dissimilarity is f_divergence itself). Where exp(acc) is
 not a normal float but the term can be, that is, where it overflows or
 where it underflows at an atom of weight above 1, log mu is folded in
 before the ``exp``: the term is ((h * mu) * h) * h * h with h = exp(acc/4),
@@ -187,11 +188,6 @@ def weighted_product_integral(
     MixdivError
         If the integral is beyond the float range, or a log-factor is NaN.
     """
-    return _integral(space, log_factors, exponents)
-
-
-def _integral(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) -> float:
-    """Integral of prod_i exp(exponents[i] * log_factors[i]); see the module docstring."""
     return _exp_integral(space, *_log_terms(space, log_factors, exponents))
 
 
@@ -355,9 +351,8 @@ def f_dissimilarity(g: MultivariateGenerator, densities: MeasureVector) -> float
         raise ArityMismatch(f"generator arity {g.arity} vs {len(densities)} densities")
     space, dens = densities.space, densities.densities
     if g.generator is not None:
-        lw = _log_factor(g.generator, *dens)
-        return _exp_integral(space, lw, [lw])
-    return -_integral(space, [np.log(d.values) for d in dens], g.exponents)
+        return f_divergence(g.generator, *dens)
+    return -_exp_integral(space, *_log_terms(space, [np.log(d.values) for d in dens], g.exponents))
 
 
 # --- named wrappers -------------------------------------------------------------
