@@ -98,10 +98,11 @@ DEFAULT_TOLERANCES = Tolerances()
 class ProportionalityVerdict:
     """Outcome of an effective-proportionality test.
 
-    ``null_factor_index`` identifies an identically zero input (0 for the
-    first vector, 1 for the second); a null vector is proportional to
-    anything. ``ratio_spread`` is the normalized max-min spread of the
-    pointwise ratios, symmetrized over both ratio directions.
+    ``null_factor_index`` is the index of the first identically zero member
+    (for :func:`effectively_proportional`, 0 for u and 1 for v); a null
+    member is proportional to anything. ``ratio_spread`` is the largest
+    normalized max-min spread of the pointwise ratios seen, symmetrized over
+    both ratio directions.
     """
 
     proportional: bool
@@ -268,8 +269,8 @@ def _mutually_proportional(logs: Sequence[np.ndarray], eps: float) -> Proportion
             return ProportionalityVerdict(True, idx, 0.0)
     worst = 0.0
     for a, la in enumerate(logs):
+        live = la > -math.inf
         for lb in logs[a + 1:]:
-            live = la > -math.inf
             if not np.array_equal(live, lb > -math.inf):
                 return ProportionalityVerdict(False, None, math.inf)
             with np.errstate(over="ignore"):  # a log difference beyond the float range is inf

@@ -9,7 +9,9 @@ affine surface areas).
 Input documents are JSON ``{"mu": [...], "pairs": [{"p": [...], "q": [...],
 "f": {...}}, ...]}`` or CSV with header ``atom,mu,p1,q1,...,pn,qn``. Reports
 are single JSON documents echoing the effective inputs; identical job specs
-(including seeds) produce byte-identical reports.
+(including seeds) produce byte-identical reports on one machine and numpy
+build. Across numpy's SIMD dispatch levels the verdicts agree and every float
+stays within 1e-12 * max(1, |a|, |b|) (see the README).
 
 Each subcommand accepts exactly the options of :class:`JobSpec` that name it.
 Exit codes: 0 success, 1 usage, I/O or validation error, 2 audit violations
@@ -133,7 +135,7 @@ def _parse_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if path.endswith(".csv"):
         return _parse_csv(path, text)
@@ -205,6 +207,8 @@ def load_document(
     doc = _parse_document(path)
     if "mu" not in doc:
         raise ParseError(f"{path}: mu required")
+    if not isinstance(doc.get("atom_ids", []), list):
+        raise ParseError(f"{path}: 'atom_ids' must be a list of labels")
     space = make_space(doc["mu"], atom_ids=doc.get("atom_ids"))
     warnings: list[str] = []
     pairs: list[tuple[Density, Density]] = []
@@ -285,16 +289,21 @@ def run_job(spec: JobSpec) -> int:
         # typed errors, so numpy's warning would only add noise on stderr
         with np.errstate(over="ignore"):
             exit_code = _COMMANDS[spec.command](spec, tol, report)
+        _write_report(report, spec.output_path)
     except MixdivError as exc:
         return _fail(report, exc, spec.output_path)
-    _write_report(report, spec.output_path)
     return exit_code
 
 
 def _fail(report: dict, exc: MixdivError, output_path: Optional[str]) -> int:
-    """Write ``report`` with ``exc`` as its error block; returns exit code 1."""
+    """Write ``report`` with ``exc`` as its error block, to stdout where
+    ``output_path`` cannot be written, and ``exc`` as one ``error:`` line on
+    stderr; returns exit code 1."""
     report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    _write_report(report, output_path)
+    try:
+        _write_report(report, output_path)
+    except ParseError:  # the path cannot be written; the first error stands
+        _write_report(report, None)
     print(f"error: {exc}", file=sys.stderr)
     return 1
 
@@ -447,12 +456,17 @@ _COMMANDS = {
 
 
 def _write_report(report: dict, output_path: Optional[str]) -> None:
+    """Write ``report`` to ``output_path`` (stdout when None); ParseError where
+    the path cannot be written."""
     text = dumps_report(report)
-    if output_path:
+    if not output_path:
+        print(text)
+        return
+    try:
         with open(output_path, "w", encoding="utf-8") as fh:
             print(text, file=fh)
-    else:
-        print(text)
+    except OSError as exc:
+        raise ParseError(f"{output_path}: cannot write the report: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):

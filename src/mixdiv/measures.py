@@ -25,7 +25,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -179,6 +179,10 @@ def make_space(
     NonpositiveWeight
         If any weight is <= 0 or not finite (the message reports the index),
         or if the weights sum beyond the float range.
+    LengthMismatch
+        If there is not one atom id per weight.
+    MixdivError
+        If ``atom_ids`` cannot be iterated.
     """
     arr = _frozen_array(weights)
     if arr.size == 0:
@@ -188,6 +192,8 @@ def make_space(
         raise NonpositiveWeight(
             f"weight at index {idx} is {float(arr[idx])!r}; must be finite and > 0"
         )
+    if not isinstance(atom_ids, (Iterable, type(None))):
+        raise MixdivError(f"atom ids must be a sequence of labels, got {atom_ids!r}")
     ids = None if atom_ids is None else tuple(atom_ids)
     if ids is not None and len(ids) != arr.size:
         raise LengthMismatch(f"{len(ids)} atom ids for {arr.size} weights")

@@ -647,3 +647,22 @@ def test_tolerance_overrides_respected(two_atom):
     loose = Tolerances(ineq=1e-2, eq=1.0, prop=1e-8)
     rep = check_alexandrov_fenchel([t1, t2], m=2, tolerances=loose)
     assert rep.equality_observed  # |slack| ~ 0.08 <= 1.0 * scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_interpolation_log_difference_beyond_the_float_range():
+    # power(1e308) log-factors are log q + 1e308 * log(p/q): near +-1.7e308,
+    # finite, but their difference at atom 0, about 2e308, is not
+    space = make_space([0.25] * 4)
+    power = make_generator("power", alpha=1e308)
+    pairs = []
+    for r in ([1.0, 0.0, -1.7, -1.7], [-1.0, 0.0, -0.3, 1.0]):
+        e = np.exp(r)
+        c = (3.0 - (e[0] + e[1] + e[3])) / (e[2] - 1.0)  # p and q of equal mass
+        q = np.array([1.0, 1.0, c, 1.0])
+        mass = 0.25 * q.sum()  # one normalizer keeps log(p/q) = 0 at atom 1 exact
+        pairs.append(PairTriple(power, validate_density(space, q * e / mass),
+                                validate_density(space, q / mass)))
+    rep = check_interpolation(*pairs, n=100, i=40, j=38, k=48)
+    assert not rep.equality_expected
+    assert rep.detail["proportionality_spread"] == math.inf

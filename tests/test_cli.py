@@ -334,7 +334,19 @@ BAD_DOCUMENTS = {
     "@odd_columns.csv": "atom,mu,p1\n0,1,0.5\n",
     "@short_row.csv": "atom,mu,p1,q1\n0,1,0.5\n",
     "@non_numeric.csv": "atom,mu,p1,q1\n0,1,abc,0.5\n",
+    # atom ids that are not a list: a number, a boolean, or a string (which
+    # would otherwise be split into one-character labels)
+    **{f"@atom_ids_{name}": {"mu": [1.0, 1.0], "atom_ids": ids,
+                             "pairs": [{"p": [0.5, 0.5], "q": [0.5, 0.5]}]}
+       for name, ids in (("int", 5), ("float", 1.5), ("bool", True), ("string", "ab"))},
+    # bytes are written as they are: one 0xff byte makes the file not UTF-8
+    "@not_utf8": b'{"mu":[1,1],"atom_ids":["\xff","b"],"pairs":[{"p":[0.5,0.5],"q":[0.5,0.5]}]}',
+    "@not_utf8.csv": b"atom,mu,p1,q1\n\xff,1,0.5,0.5\nb,1,0.5,0.5\n",
 }
+
+#: the rows of BAD_DOCUMENTS that the loader rejects with a ParseError naming the file
+UNREADABLE_DOCUMENTS = ["@atom_ids_int", "@atom_ids_float", "@atom_ids_bool", "@atom_ids_string",
+                        "@not_utf8", "@not_utf8.csv"]
 
 BALL = '{"semi_axes":[1,1,1]}'
 
@@ -350,7 +362,10 @@ def _with_documents(argv, tmp_path):
     for name, doc in BAD_DOCUMENTS.items():
         if name in argv:
             path = tmp_path / ("bad.csv" if name.endswith(".csv") else "bad.json")
-            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            if isinstance(doc, bytes):
+                path.write_bytes(doc)
+            else:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             argv = [str(path) if a == name else a for a in argv]
     return argv
 
@@ -418,6 +433,8 @@ def _with_documents(argv, tmp_path):
     ["geometry", "--i", "1"] + ["--body", BALL] * 3,
     ["geometry", "--i", "1"] + ["--body", BALL] * 2 + ["--f", '{"kind":"sqrt"}'] * 3,
     ["geometry"] + ["--body", BALL] * 2 + ["--f", '{"kind":"sqrt"}'] * 3,
+    *(["compute", "--f", '{"kind":"tv"}', "--input", name] for name in UNREADABLE_DOCUMENTS),
+    ["geometry", "--input", "@not_utf8"],
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr beside the error line
 def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path, capsys):
@@ -430,6 +447,59 @@ def test_malformed_input_exits_one_with_error_block(argv, fixture_path, tmp_path
     assert error["type"] and error["message"]
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("name", UNREADABLE_DOCUMENTS)
+def test_unreadable_document_is_a_parse_error_naming_the_file(name, tmp_path):
+    path = _with_documents([name], tmp_path)[0]
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}: "):
+        load_document(path)
+
+
+@pytest.mark.parametrize("argv, error_type", [
+    (["compute"], "ParseError"),  # the job succeeds; only its report cannot be written
+    (["compute", "--epsilon-floor", "-1"], "MixdivError"),  # the job's own error is reported
+])
+def test_unwritable_output_sends_the_report_to_stdout(argv, error_type, fixture_path, tmp_path,
+                                                       capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--input", fixture_path, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == error_type and not out.exists()
+    lines = captured.err.splitlines()
+    assert lines == [f"error: {error['message']}"]
+
+
+def test_blank_csv_rows_are_skipped(tmp_path):
+    rows = ["atom,mu,p1,q1", "a,1.0,0.5,0.25", "b,1.0,0.5,0.75"]
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    blank.write_text("\n".join(rows[:2] + ["", ",,,"] + rows[2:]) + "\n")
+    loaded = []
+    for path in (plain, blank):
+        space, pairs = load_document(str(path))[:2]
+        loaded.append((space.atom_ids, space.weights.tolist(),
+                       [(p.values.tolist(), q.values.tolist()) for p, q in pairs]))
+    assert loaded[0] == loaded[1]
+
+
+def test_substitution_violation_exits_two(tmp_path):
+    # three identical tv pairs with |p - q| = 1 on the first two atoms: every
+    # log-factor is 0 or -inf, so D = 0.1378 + 0.1378 = 0.2756 exactly under
+    # any exp/log implementation. [D]**3 rounds once, D * D * D twice, and the
+    # product lands one unit below: at a tolerance below any rounding, AF fails
+    pair = {"p": [1.5, 0.5, 0.7244], "q": [0.5, 1.5, 0.7244]}
+    path, out = tmp_path / "doc.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"mu": [0.1378, 0.1378, 1.0], "pairs": [pair] * 3}))
+    argv = ["mixed", "--f", '{"kind":"tv"}', "--m", "3", "--tol-ineq", "5e-324",
+            "--input", str(path), "--output", str(out)]
+    assert main(argv) == 2
+    values = json.loads(out.read_text())["values"]
+    assert values["mixed_divergence"] == 0.2756
+    check = values["substitution_inequality"]
+    assert not check["holds"] and check["equality_expected"]
+    assert check["rhs"] == 0.2756 * 0.2756 * 0.2756 < check["lhs"] == math.pow(0.2756, 3)
 
 
 @pytest.mark.parametrize("argv", VALUE_ERROR_ARGV)

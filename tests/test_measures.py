@@ -68,6 +68,12 @@ def test_make_space_custom_atom_ids():
         make_space([1.0], atom_ids=["a", "b"])
 
 
+@pytest.mark.parametrize("ids", [5, 1.5, True])
+def test_make_space_uniterable_atom_ids_are_typed(ids):
+    with pytest.raises(MixdivError, match="atom ids must be a sequence of labels"):
+        make_space([1.0, 2.0], atom_ids=ids)
+
+
 def test_weights_are_read_only():
     space = make_space([1.0, 2.0])
     with pytest.raises(ValueError):
