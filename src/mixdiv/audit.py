@@ -54,7 +54,6 @@ from .divergence import (
     ith_mixed,
     mixed_divergence,
     mixed_divergence_k,
-    weighted_product_integral,
 )
 from .errors import (
     DegenerateIndices,
@@ -189,11 +188,6 @@ def _identity_report(
     rhs is 0, so ``holds`` means agreement within the inequality tolerance."""
     detail = {**detail, "value": float(value), "reference": float(reference)}
     return _report(name, _rel_diff(value, reference), 0.0, tol, True, detail)
-
-
-def _pair_divergence(t: PairTriple) -> float:
-    """The classical divergence of ``t`` from its cached log-factor."""
-    return weighted_product_integral(t.space, [t.log_integrand_factor], [1.0])
 
 
 def _require_prob(triples: Sequence[PairTriple], what: str) -> None:
@@ -348,7 +342,7 @@ def check_alexandrov_fenchel(
         "m": int(m),
         "mixed_value": float(base),
         "substituted_values": [float(v) for v in substituted],
-        "pair_divergences": [float(_pair_divergence(t)) for t in triples],
+        "pair_divergences": [float(f_divergence(t.generator, t.p, t.q)) for t in triples],
         "proportionality_spread": float(verdict.ratio_spread),
     }
     if verdict.null_factor_index is not None:
@@ -380,7 +374,7 @@ def check_concave_upper(
 
     base = mixed_divergence(triples)
     lhs = _power("concave_product_chain", base, n)
-    pair_divergences = [_pair_divergence(t) for t in triples]
+    pair_divergences = [f_divergence(t.generator, t.p, t.q) for t in triples]
     middle = math.prod(pair_divergences)
     rhs = math.prod(t.generator(1.0) for t in triples)
     links_hold = _holds(lhs, middle, tolerances) and _holds(middle, rhs, tolerances)

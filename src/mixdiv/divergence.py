@@ -25,7 +25,10 @@ or of w loses a value: mu = (1, 1), P = (1e-300, 1), Q = (0.5, 0.5),
 f = (t**3, t**-3) has mixed divergence 1.0, and a factor far below the
 smallest float still counts. A log-factor that is +inf or NaN (a log beyond
 the float range, from an exponent near 1e308, say) raises a typed error
-that names the atom. Each :class:`PairTriple` caches its two log-factors.
+that names the atom. Each :class:`PairTriple` caches its two log-factors,
+and :func:`f_divergence` of the same generator and densities (the same
+three objects) reads a live triple's cached factor instead of evaluating
+it again.
 
 One private kernel integrates every functional, in two steps that every
 entry calls directly. :func:`_log_terms` sums ``acc += e_i * log(w_i)``
@@ -62,6 +65,7 @@ e**+-10, and up to a few 1e-13 where logs near +-690 (densities near
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -96,6 +100,11 @@ from .measures import (
 
 PairOfDensities = tuple[Density, Density]
 
+#: every live triple, by (id(generator), id(p), id(q)); an entry holds its
+#: triple weakly and the triple holds the three objects, so while the entry
+#: lives no other object can take one of those ids
+_LIVE_TRIPLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
 
 @dataclass(frozen=True, eq=False)
 class PairTriple:
@@ -103,7 +112,8 @@ class PairTriple:
 
     Its two log-factor arrays are evaluated on first use and then shared,
     read-only, by every functional that reads the triple, for as long as
-    the triple lives."""
+    the triple lives; :func:`f_divergence` of the same three objects reads
+    its integrand factor too. No array outlives the triple."""
 
     generator: Generator
     p: Density
@@ -111,6 +121,7 @@ class PairTriple:
 
     def __post_init__(self) -> None:
         same_space(self.p, self.q)
+        _LIVE_TRIPLES[id(self.generator), id(self.p), id(self.q)] = self
 
     @property
     def space(self) -> MeasureSpace:
@@ -257,9 +268,17 @@ def _exp_times(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def f_divergence(g: Generator, p: Density, q: Density) -> float:
     """Classical divergence: integral of f(p/q) * q.
 
+    Where a live :class:`PairTriple` holds these very objects (g, p, q), its
+    cached log-factor is read; otherwise the factor is evaluated for this
+    call alone. The value and the errors are the same bits either way.
+
     Raises MixdivError, naming the atom, when the integral is beyond the float
     range or a log-factor is not finite."""
-    space, lw = same_space(p, q), _log_factor(g, p, q)
+    t = _LIVE_TRIPLES.get((id(g), id(p), id(q)))
+    if t is None:
+        space, lw = same_space(p, q), _log_factor(g, p, q)
+    else:
+        space, lw = t.space, t.log_integrand_factor
     return _exp_integral(space, lw, [lw])
 
 

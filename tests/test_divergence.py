@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -246,7 +247,8 @@ def _convex_probability_triples(seed):
             for a in (2.0, 3.0, -0.5, 1.5)]
 
 
-def test_order_change_row_evaluates_each_factor_once(monkeypatch):
+def _counted_passes(monkeypatch):
+    """Patch Generator.log_perspective to record one label per factor pass."""
     passes = []
     log_perspective = Generator.log_perspective
 
@@ -255,6 +257,11 @@ def test_order_change_row_evaluates_each_factor_once(monkeypatch):
         return log_perspective(self, x, y)
 
     monkeypatch.setattr(Generator, "log_perspective", counted)
+    return passes
+
+
+def test_order_change_row_evaluates_each_factor_once(monkeypatch):
+    passes = _counted_passes(monkeypatch)
     triples = _convex_probability_triples(0)
     n = len(triples)
     for k in range(n + 1):
@@ -285,6 +292,115 @@ def test_reused_triples_match_fresh_triples_bit_for_bit():
         for m in range(1, n + 1):
             assert check_alexandrov_fenchel(reused, m) == check_alexandrov_fenchel(
                 _convex_probability_triples(2), m)
+
+
+def _pair_densities(seed, atoms=32):
+    rng = np.random.default_rng(seed)
+    space = make_space(rng.uniform(0.25, 2.0, atoms))
+    p, q = (validate_density(space, np.exp(rng.uniform(-3.0, 3.0, atoms))) for _ in range(2))
+    return p, q
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 2, 6])
+def test_bulk_shaped_op_evaluates_each_integrand_factor_once(monkeypatch, k):
+    passes = _counted_passes(monkeypatch)
+    p, q = _pair_densities(k)
+    gens = [make_generator("power", alpha=a) for a in (2.0, 3.0, -0.5, 1.5)]
+    gens += [make_generator("total_variation"), make_generator("linear", a=2.0, b=1.0)]
+    triples = [PairTriple(g, p, q) for g in gens]
+    mixed_divergence(triples)
+    mixed_divergence_k(triples, k)
+    for t in triples:
+        f_divergence(t.generator, t.p, t.q)
+    for i in (0.5, 1.0, 1.5):
+        ith_mixed(IthMixedSpec(triples[0], triples[1], i=i, n=2))
+    # one integrand pass per triple, one adjoint pass per adjoint-form factor
+    assert len(passes) == 6 + (6 - k)
+
+
+def _catalog_and_custom():
+    gens = catalog_generators()
+    gens += [adjoint(g) for g in gens] + [scale_generator(g, 2.5) for g in gens]
+    custom = make_generator("custom", fn=lambda t: t + 1.0 / t, shape="convex", strict=True)
+    return gens + [custom, adjoint(custom)]
+
+
+def test_f_divergence_reads_a_live_triple_bit_for_bit(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    p, q = _pair_densities(11)
+    for g in _catalog_and_custom():
+        fresh = f_divergence(g, p, q)  # no live triple holds (g, p, q)
+        t = PairTriple(g, p, q)
+        lw = t.log_integrand_factor
+        passes.clear()
+        assert _bits(f_divergence(g, p, q)) == _bits(fresh), g.label
+        assert passes == [] and t.log_integrand_factor is lw
+        f_divergence(g, q, p)  # the pair reversed is a miss
+        f_divergence(dataclasses.replace(g), p, q)  # and so is an equal generator
+        assert len(passes) == 2
+
+
+def test_f_divergence_of_a_live_triple_raises_the_same_error():
+    import gc
+
+    t = _overflow_triple(1.0)  # the integral, about 1e350, is beyond range
+    g, p, q = t.generator, t.p, t.q
+
+    def raised():
+        with pytest.raises(MixdivError) as e:
+            f_divergence(g, p, q)
+        return type(e.value), str(e.value)
+
+    live = [raised(), raised()]
+    del t
+    gc.collect()  # the tracebacks held the triple
+    assert (id(g), id(p), id(q)) not in divergence._LIVE_TRIPLES
+    assert live == [raised()] * 2
+
+
+def test_no_factor_outlives_its_triple(monkeypatch):
+    import gc
+    import weakref
+
+    passes = _counted_passes(monkeypatch)
+    p, q = _pair_densities(12)
+    g = make_generator("power", alpha=3.0)
+    t = PairTriple(g, p, q)
+    value = f_divergence(g, p, q)
+    assert len(passes) == 1
+    factor = weakref.ref(t.log_integrand_factor)
+    del t
+    gc.collect()
+    assert factor() is None
+    assert (id(g), id(p), id(q)) not in divergence._LIVE_TRIPLES
+    assert _bits(f_divergence(g, p, q)) == _bits(value)
+    assert len(passes) == 2  # evaluated again
+
+
+def test_spaces_densities_and_cached_triples_pickle():
+    import pickle
+
+    p, q = _pair_densities(13)
+    triples = [PairTriple(make_generator("power", alpha=a), p, q) for a in (0.5, 2.0)]
+
+    def values(ts):
+        fs = [f_divergence(t.generator, t.p, t.q) for t in ts]
+        return [_bits(v) for v in [*fs, mixed_divergence(ts), mixed_divergence_k(ts, 0)]]
+
+    before = values(triples)  # caches both factors of each triple
+    space = pickle.loads(pickle.dumps(p.space))
+    assert space == p.space
+    dens = pickle.loads(pickle.dumps(p))
+    assert dens.space == p.space and np.array_equal(dens.values, p.values)
+    copies = pickle.loads(pickle.dumps(triples))
+    for t, c in zip(triples, copies):
+        assert np.array_equal(c.log_integrand_factor, t.log_integrand_factor)
+        assert np.array_equal(c.log_adjoint_factor, t.log_adjoint_factor)
+    assert values(copies) == before
 
 
 # --- permutation / symmetry / rescaling properties -------------------------------------
