@@ -241,9 +241,9 @@ def load_document(
 
 def _generators(specs: list, slots: int, what: str) -> list[Generator]:
     """One generator per slot (a pair or a body): a single spec serves two or
-    more slots, otherwise there must be one spec per slot."""
+    more slots, as one generator object, otherwise there must be one spec per slot."""
     if len(specs) == 1 and slots > 1:
-        specs = specs * slots
+        return [generator_from_spec(specs[0])] * slots
     if len(specs) != slots:
         raise MixdivError(f"{len(specs)} generator specs for {slots} {what}")
     return [generator_from_spec(s) for s in specs]

@@ -22,6 +22,7 @@ resolution, so ``resolution=64`` yields the default 64 x 128 grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -121,23 +122,23 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
         raise MixdivError(f"resolution {resolution} gives {n_nodes} nodes; at most {MAX_NODES}")
     if dimension == 2:
         theta = 2.0 * math.pi * np.arange(resolution) / resolution
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        columns = [np.cos(theta), np.sin(theta)]
         weights = np.full(resolution, 2.0 * math.pi / resolution)
     else:
         x, w = np.polynomial.legendre.leggauss(resolution)  # x = cos(polar)
         m_az = 2 * resolution
         phi = 2.0 * math.pi * np.arange(m_az) / m_az
         sin_polar = np.sqrt(1.0 - x**2)
-        nodes = np.empty((resolution * m_az, 3))
-        nodes[:, 0] = np.outer(sin_polar, np.cos(phi)).ravel()
-        nodes[:, 1] = np.outer(sin_polar, np.sin(phi)).ravel()
-        nodes[:, 2] = np.repeat(x, m_az)
+        columns = [np.outer(sin_polar, np.cos(phi)).ravel(),
+                   np.outer(sin_polar, np.sin(phi)).ravel(), np.repeat(x, m_az)]
         weights = np.outer(w, np.full(m_az, 2.0 * math.pi / m_az)).ravel()
-    # row norms column by column as (x*x + y*y) + z*z, the bits of np.linalg.norm
-    norm2 = nodes[:, 0] * nodes[:, 0]
-    for column in nodes.T[1:]:
-        norm2 += column * column
-    nodes /= np.sqrt(norm2)[:, None]
+    # row norms from the contiguous columns, summed left to right as
+    # (x*x + y*y) + z*z, the bits of np.linalg.norm; each column is divided
+    # straight into the node array
+    norm = np.sqrt(sum(column * column for column in columns))
+    nodes = np.empty((n_nodes, dimension))
+    for j, column in enumerate(columns):
+        np.divide(column, norm, out=nodes[:, j])
     nodes.setflags(write=False)
     return SphereGrid(dimension=dimension, nodes=nodes, space=make_space(weights))
 
@@ -192,10 +193,7 @@ def mixed_affine_surface_area(
         )
     if len(generators) != len(bodies):
         raise DimensionMismatch(f"{len(generators)} generators for {len(bodies)} bodies")
-    triples = [
-        PairTriple(g, *body_densities(b, grid)) for g, b in zip(generators, bodies)
-    ]
-    return mixed_divergence(triples)
+    return mixed_divergence(_triples(generators, bodies, grid))
 
 
 def ith_mixed_affine_surface_area(
@@ -219,9 +217,17 @@ def _ith_mixed_areas(
     grid: SphereGrid,
 ) -> list[float]:
     """:func:`ith_mixed_affine_surface_area` at each index, with each body's
-    densities built once."""
+    triple built once."""
     if len(generators) != 2:
         raise DimensionMismatch(f"need exactly 2 generators, got {len(generators)}")
-    pair1 = PairTriple(generators[0], *body_densities(body1, grid))
-    pair2 = PairTriple(generators[1], *body_densities(body2, grid))
+    pair1, pair2 = _triples(generators, [body1, body2], grid)
     return _ith_mixed_grid(pair1, pair2, [float(i) for i in i_values], grid.dimension)
+
+
+def _triples(generators: Sequence[Generator], bodies: Sequence[EllipsoidBody],
+             grid: SphereGrid) -> list[PairTriple]:
+    """One triple per slot, built once per distinct (generator object, body):
+    equal slots share its densities and cached log-factors. (A generator
+    hashes by identity, a body by its semi-axes.)"""
+    triple = functools.cache(lambda g, b: PairTriple(g, *body_densities(b, grid)))
+    return [triple(g, b) for g, b in zip(generators, bodies)]

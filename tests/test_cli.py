@@ -259,6 +259,15 @@ def test_geometry_job_ith(tmp_path):
     assert abs(v - want) <= 1e-6 * want
 
 
+def test_one_spec_serves_every_slot_as_one_generator():
+    from mixdiv import cli
+
+    gens = cli._generators([{"kind": "sqrt"}], 3, "bodies")
+    assert len(gens) == 3 and gens[0] is gens[1] is gens[2]
+    gens = cli._generators([{"kind": "sqrt"}] * 3, 3, "bodies")
+    assert len({id(g) for g in gens}) == 3
+
+
 def test_missing_input_exits_one(tmp_path):
     out = tmp_path / "x.json"
     code = run_job(JobSpec(command="mixed", input_path=str(tmp_path / "nope.json"),

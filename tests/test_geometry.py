@@ -221,3 +221,25 @@ def test_ith_ball_interpolation_closed_form():
         ball(1.0, 3), ball(2.0, 3), [QUARTER_POWER, QUARTER_POWER], 1.5, grid
     )
     assert _rel_err(v, 4.0 * math.pi * 2.0**0.75) <= 1e-12
+
+
+def test_equal_slots_share_one_triple(monkeypatch):
+    from mixdiv import geometry
+
+    calls = []
+    real = geometry.body_densities
+    monkeypatch.setattr(geometry, "body_densities", lambda b, g: calls.append(b) or real(b, g))
+    grid = sphere_grid(3, 16)
+    body = EllipsoidBody(semi_axes=(1.0, 2.0, 3.0))
+    g = make_generator("power", alpha=0.25)
+    shared = mixed_affine_surface_area([body] * 3, [g] * 3, grid)
+    assert len(calls) == 1
+    # equal bodies that are distinct objects share too; distinct generator objects do not
+    equal = [EllipsoidBody(semi_axes=(1.0, 2.0, 3.0)) for _ in range(3)]
+    assert mixed_affine_surface_area(equal, [g] * 3, grid).hex() == shared.hex()
+    assert len(calls) == 2
+    distinct = [make_generator("power", alpha=0.25) for _ in range(3)]
+    assert mixed_affine_surface_area([body] * 3, distinct, grid).hex() == shared.hex()
+    assert len(calls) == 5
+    geometry._ith_mixed_areas(ball(1.0, 3), ball(1.0, 3), [g, g], [1.5], grid)
+    assert len(calls) == 6
