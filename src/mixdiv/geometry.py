@@ -18,6 +18,13 @@ Grids: dimension 2 uses equal-angle trapezoidal nodes (spectrally accurate
 for smooth integrands on the circle); dimension 3 uses a Gauss-Legendre
 rule in the polar cosine crossed with a uniform azimuth of twice the
 resolution, so ``resolution=64`` yields the default 64 x 128 grid.
+
+The n-point Gauss-Legendre rule is found in O(n**2) time, the classical way
+surveyed by Hale & Townsend (SIAM J. Sci. Comput. 35, 2013): Tricomi's
+approximations start Newton's method on the nonnegative roots of P_n, which
+the three-term recurrence evaluates with P_n'; the weights are
+2 / ((1 - x**2) * P_n'(x)**2), the rule is mirrored, and its weights are
+scaled to sum to 2, as numpy's ``leggauss`` scales them.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ MAX_NODES = 2**22
 
 #: bound on |log| of a body's boundary data: normal floats, with headroom
 _LOG_RANGE = 1021 * math.log(2.0)
+
+#: cap on the Newton steps of the Gauss-Legendre rule; from Tricomi's start,
+#: max |dx| reaches 1e-15 in at most 4 steps at every resolution MAX_NODES allows
+_NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +113,28 @@ def ball(radius: float, dimension: int) -> EllipsoidBody:
     return EllipsoidBody(semi_axes=(float(radius),) * dimension)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1]: ascending nodes and their
+    weights, exactly mirror-symmetric (see the module docstring)."""
+    # Tricomi's cos(pi (4k - 1) / (4n + 2)) for k = 1..ceil(n/2), as a sine,
+    # which is exactly 0 at the middle root of odd n, where P_n(0) is exactly 0
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.sin(math.pi * np.arange(n - 1, -1, -2) / (2 * n + 1))
+    recurrence = [((2 * j - 1) / j, (j - 1) / j) for j in range(2, n + 1)]
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p = np.ones_like(x), x  # P_0, P_1
+        for a, b in recurrence:
+            p_prev, p = p, a * x * p - b * p_prev
+        dp = n * (x * p - p_prev) / (x * x - 1.0)  # P_n'
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
+    return nodes, weights * (2.0 / weights.sum())
+
+
 def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
     """Build a quadrature grid for S^(dim-1), dimension 2 or 3.
 
@@ -109,6 +142,10 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
     2 * resolution azimuthal nodes). Defaults per dimension are chosen so
     smooth closed-form test integrands converge well below 1e-6 relative.
     A grid of more than :data:`MAX_NODES` nodes raises before it allocates.
+
+    The polar rule of dimension 3 is Gauss-Legendre in cos(polar), found in
+    O(resolution**2) time: Tricomi's start, Newton on the three-term
+    recurrence, and weights renormalized to sum to 2 (module docstring).
     """
     if dimension not in (2, 3):
         raise UnsupportedDimension(f"dimension {dimension} not supported (2 or 3 only)")
@@ -125,7 +162,7 @@ def sphere_grid(dimension: int, resolution: int | None = None) -> SphereGrid:
         columns = [np.cos(theta), np.sin(theta)]
         weights = np.full(resolution, 2.0 * math.pi / resolution)
     else:
-        x, w = np.polynomial.legendre.leggauss(resolution)  # x = cos(polar)
+        x, w = _gauss_legendre(resolution)  # x = cos(polar)
         m_az = 2 * resolution
         phi = 2.0 * math.pi * np.arange(m_az) / m_az
         sin_polar = np.sqrt(1.0 - x**2)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from mixdiv import (
     mixed_affine_surface_area,
     sphere_grid,
 )
+from mixdiv import geometry
 from mixdiv.errors import DimensionMismatch, MixdivError, UnsupportedDimension
 from mixdiv.geometry import curvature_values, support_values
 
@@ -47,12 +49,44 @@ def _raw_nodes(dimension, resolution):
     if dimension == 2:
         theta = 2.0 * math.pi * np.arange(resolution) / resolution
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    x, _ = np.polynomial.legendre.leggauss(resolution)
+    x, _ = geometry._gauss_legendre(resolution)
     phi = 2.0 * math.pi * np.arange(2 * resolution) / (2 * resolution)
     sin_polar = np.sqrt(1.0 - x**2)
     return np.column_stack([np.outer(sin_polar, np.cos(phi)).ravel(),
                             np.outer(sin_polar, np.sin(phi)).ravel(),
                             np.repeat(x, 2 * resolution)])
+
+
+def _legendre_root(n, x0):
+    """The root of P_n next to the float x0 and its Gauss weight, at 40 digits:
+    two Newton steps on the three-term recurrence from x0, then P_n' there."""
+    x = mpmath.mpf(float(x0))
+    for step in range(3):
+        p_prev, p = mpmath.mpf(1), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        if step < 2:
+            x -= p / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 64, 256, 1448])
+def test_gauss_legendre_rule_against_mpmath(n):
+    x, w = geometry._gauss_legendre(n)
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 4 * np.spacing(2.0)
+    # the nonnegative half; at n = 1448 the 16 roots nearest 1, where the
+    # weights are least accurate, and every 64th root (the full half takes about 20 s)
+    half = np.arange(n // 2, n)
+    if n > 256:
+        half = np.union1d(half[::64], half[-16:])
+    with mpmath.workdps(40):
+        for idx in half:
+            root, weight = _legendre_root(n, x[idx])
+            assert abs(mpmath.mpf(float(x[idx])) - root) <= 4 * np.spacing(abs(float(root)))
+            assert abs((w[idx] - weight) / weight) <= 1e-10
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -224,8 +258,6 @@ def test_ith_ball_interpolation_closed_form():
 
 
 def test_equal_slots_share_one_triple(monkeypatch):
-    from mixdiv import geometry
-
     calls = []
     real = geometry.body_densities
     monkeypatch.setattr(geometry, "body_densities", lambda b, g: calls.append(b) or real(b, g))
