@@ -92,6 +92,7 @@ from .measures import (
     Density,
     MeasureSpace,
     MeasureVector,
+    _ReadOnlyArrays,
     _atom_repr,
     _sum_terms,
     same_space,
@@ -107,7 +108,7 @@ _LIVE_TRIPLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, eq=False)
-class PairTriple:
+class PairTriple(_ReadOnlyArrays):
     """One coordinate (f_i, P_i, Q_i) of a divergence vector.
 
     Its two log-factor arrays are evaluated on first use and then shared,

@@ -39,7 +39,7 @@ import numpy as np
 from .divergence import PairTriple, _ith_mixed_grid, mixed_divergence
 from .errors import DimensionMismatch, MixdivError, UnsupportedDimension
 from .generators import Generator, _real
-from .measures import Density, MeasureSpace, make_space, validate_density
+from .measures import Density, MeasureSpace, _ReadOnlyArrays, make_space, validate_density
 
 #: default polar resolution per dimension
 DEFAULT_RESOLUTION = {2: 256, 3: 64}
@@ -56,7 +56,7 @@ _NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
-class SphereGrid:
+class SphereGrid(_ReadOnlyArrays):
     """Quadrature nodes and weights for the unit sphere S^(dim-1) in R^dim.
 
     The weights sum to the sphere's surface measure (2*pi for dimension 2,

@@ -89,8 +89,19 @@ def _atom_repr(space: "MeasureSpace", idx: int) -> str:
     return repr(idx if space.labels is None else space.labels[idx])
 
 
+class _ReadOnlyArrays:
+    """Base of the classes that hold read-only arrays: ``pickle`` brings an
+    array back writeable, so loading freezes every array attribute again."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True, eq=False)
-class MeasureSpace:
+class MeasureSpace(_ReadOnlyArrays):
     """A finite measure space: labelled atoms with positive weights.
 
     Attributes
@@ -133,7 +144,7 @@ class MeasureSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class Density:
+class Density(_ReadOnlyArrays):
     """Per-atom density values with respect to a :class:`MeasureSpace`.
 
     ``prob_certified`` records that the integral was checked to be 1 at

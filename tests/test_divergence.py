@@ -384,6 +384,8 @@ def test_no_factor_outlives_its_triple(monkeypatch):
 def test_spaces_densities_and_cached_triples_pickle():
     import pickle
 
+    from mixdiv import sphere_grid
+
     p, q = _pair_densities(13)
     triples = [PairTriple(make_generator("power", alpha=a), p, q) for a in (0.5, 2.0)]
 
@@ -401,6 +403,45 @@ def test_spaces_densities_and_cached_triples_pickle():
         assert np.array_equal(c.log_integrand_factor, t.log_integrand_factor)
         assert np.array_equal(c.log_adjoint_factor, t.log_adjoint_factor)
     assert values(copies) == before
+    grid = sphere_grid(3, 8)
+    grid_copy = pickle.loads(pickle.dumps(grid))
+    assert np.array_equal(grid_copy.nodes, grid.nodes) and grid_copy.space == grid.space
+    # every array comes back read-only, as it was
+    for array in (space.weights, dens.values, copies[0].log_integrand_factor,
+                  copies[0].log_adjoint_factor, grid_copy.nodes, grid_copy.weights):
+        assert array.flags.writeable is False
+
+
+def test_threads_build_triples_and_read_them_bit_for_bit():
+    import gc
+    import threading
+
+    pairs = [_pair_densities(seed, atoms=4096) for seed in (21, 22)]
+    gens = [make_generator("power", alpha=a) for a in (0.5, 3.0)] + [make_generator("tv")]
+    jobs = [(g, p, q) for g in gens for p, q in pairs]
+    want = [_bits(f_divergence(g, p, q)) for g, p, q in jobs]
+    start = threading.Barrier(4)
+    got = [[] for _ in range(4)]
+
+    def work(n):
+        """25 rounds of create-triple-then-f_divergence over every job, each
+        thread in its own order, so threads race on the same three objects."""
+        start.wait()
+        for r in range(25):
+            for j in range(len(jobs)):
+                k = (j + n + r) % len(jobs)
+                t = PairTriple(*jobs[k])
+                got[n].append((k, _bits(f_divergence(t.generator, t.p, t.q))))
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [len(g) for g in got] == [25 * len(jobs)] * 4
+    assert all(bits == want[k] for g in got for k, bits in g)
+    gc.collect()
+    assert len(divergence._LIVE_TRIPLES) == 0
 
 
 # --- permutation / symmetry / rescaling properties -------------------------------------

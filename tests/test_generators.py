@@ -161,6 +161,21 @@ def test_eval_array_of_no_arguments_is_empty():
         assert g.eval_array(np.array([])).shape == (0,), g.label
 
 
+def test_linear_log_beyond_normal_range_is_formed_in_log_space():
+    import mpmath
+
+    # 2x + 3y overflows at x = y = 1e308 and is subnormal at 1e-310, so those
+    # atoms take the logaddexp fallback; the middle atom stays on log(2x + 3y)
+    x = np.array([1e308, 1.0, 1e-310])
+    out = make_generator("linear", a=2.0, b=3.0).log_perspective(x, x.copy())
+    assert out[1] == math.log(5.0)
+    with mpmath.workdps(60):
+        for v, got in zip(x[[0, 2]], out[[0, 2]]):
+            want = mpmath.log(5 * mpmath.mpf(float(v)))
+            assert abs((got - want) / want) <= 1e-16
+    assert out[[0, 2]].tolist() == [710.8056465546002, -712.19194091572]
+
+
 @pytest.mark.parametrize("g, t", [
     (make_generator("power", alpha=1e308), 2.0),
     (make_generator("power", alpha=-400.0), 1e-10),

@@ -19,3 +19,11 @@ def test_dispatch_check_band_and_verdicts():
                        ("name", "jensen")):
         assert dispatch_check.differences(report, {**report, key: value}, (), []) == [(key,)]
     assert dispatch_check.differences([report], [report, report], (), []) == [()]
+
+
+def test_dispatch_check_jobs_are_valid_command_lines():
+    from mixdiv.cli import _build_parser
+
+    assert [args[0] for args in dispatch_check.JOBS.values()] == ["audit", "geometry", "geometry"]
+    for args in dispatch_check.JOBS.values():
+        _build_parser().parse_args(args)
