@@ -39,6 +39,7 @@ order; violations are report entries, not exceptions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -173,8 +174,10 @@ def _power(check: str, base: float, exponent: float) -> float:
 
 
 def _tagged(report: AuditReport, **meta) -> AuditReport:
-    """A copy of ``report`` whose detail ends with the suite's metadata."""
-    return AuditReport(**{**vars(report), "detail": {**report.detail, **meta}})
+    """``report``, whose detail now ends with the suite's metadata; the
+    report must be fresh from a check, its detail shared with no other."""
+    report.detail.update(meta)
+    return report
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -318,36 +321,62 @@ def check_alexandrov_fenchel(
     m Holder factors g0^(1/m) * g_j is null or all are mutually effectively
     proportional over the atoms.
     """
+    return _af_reports(triples, [m], tolerances)[0]
+
+
+def _af_reports(
+    triples: Sequence[PairTriple], ms: Sequence[int], tolerances: Tolerances
+) -> list[AuditReport]:
+    """:func:`check_alexandrov_fenchel` of ``triples`` at each m of ``ms``, in
+    order. Each distinct triple vector's mixed divergence (the base, and the
+    substituted vector for m = 1 is the base itself) and each pair divergence
+    is evaluated once, when the per-m loop first reaches it, so a failing
+    instance raises what the first failing m alone raises."""
     n = len(triples)
-    if not (1 <= m <= n):
-        raise IndexOutOfRange(f"m={m} outside [1, {n}]")
+    for m in ms:
+        if not (1 <= m <= n):
+            raise IndexOutOfRange(f"m={m} outside [1, {n}]")
     shape = _shape_class(triples)
     _require_prob(triples, "the substitution inequality")
 
-    base = mixed_divergence(triples)
-    substituted = [
-        mixed_divergence(build_nk(triples, m, k)) for k in range(n - m + 1, n + 1)
-    ]
-    lhs = _power("alexandrov_fenchel", base, m)
-    rhs = math.prod(substituted)
+    values: dict[tuple, float] = {}  # by the ids of a vector's triples, all alive here
 
-    logs = [t.log_integrand_factor for t in triples]
-    g0 = sum((lw / n for lw in logs[: n - m]), np.zeros(triples[0].space.n_atoms))
-    holder = [g0 / m + logs[n - 1 - j] / n for j in range(m)]
-    verdict = _mutually_proportional(holder, tolerances.prop)
+    def mixed(vector: Sequence[PairTriple]) -> float:
+        key = tuple(map(id, vector))
+        if key not in values:
+            values[key] = mixed_divergence(vector)
+        return values[key]
 
-    detail = {
-        "shape": shape,
-        "n": int(n),
-        "m": int(m),
-        "mixed_value": float(base),
-        "substituted_values": [float(v) for v in substituted],
-        "pair_divergences": [float(f_divergence(t.generator, t.p, t.q)) for t in triples],
-        "proportionality_spread": float(verdict.ratio_spread),
-    }
-    if verdict.null_factor_index is not None:
-        detail["null_factor_index"] = int(verdict.null_factor_index)
-    return _report("alexandrov_fenchel", lhs, rhs, tolerances, verdict.proportional, detail)
+    base = mixed(triples)
+    scaled = [t.log_integrand_factor / n for t in triples]
+    g0s = [np.zeros(triples[0].space.n_atoms)]  # g0s[j]: the first j scaled logs summed
+    for lw in scaled[:-1]:
+        g0s.append(g0s[-1] + lw)
+    pair_divergences = None
+    reports = []
+    for m in ms:
+        substituted = [mixed(build_nk(triples, m, k)) for k in range(n - m + 1, n + 1)]
+        lhs = _power("alexandrov_fenchel", base, m)
+        rhs = math.prod(substituted)
+        g0 = g0s[n - m] / m
+        holder = [g0 + scaled[n - 1 - j] for j in range(m)]
+        verdict = _mutually_proportional(holder, tolerances.prop)
+        if pair_divergences is None:
+            pair_divergences = [float(f_divergence(t.generator, t.p, t.q)) for t in triples]
+        detail = {
+            "shape": shape,
+            "n": int(n),
+            "m": int(m),
+            "mixed_value": float(base),
+            "substituted_values": [float(v) for v in substituted],
+            "pair_divergences": list(pair_divergences),
+            "proportionality_spread": float(verdict.ratio_spread),
+        }
+        if verdict.null_factor_index is not None:
+            detail["null_factor_index"] = int(verdict.null_factor_index)
+        reports.append(
+            _report("alexandrov_fenchel", lhs, rhs, tolerances, verdict.proportional, detail))
+    return reports
 
 
 # --- the concave product chain ----------------------------------------------------
@@ -596,7 +625,9 @@ class AuditConfig:
     """Instance counts and parameters for :func:`audit_suite`.
 
     All counts default to zero; an all-zero config yields an empty report
-    list. ``corollaries`` is the instance count per corollary case.
+    list. ``corollaries`` is the instance count per corollary case. The
+    seed and every count must be integers >= 0, else IndexOutOfRange names
+    the field.
     """
 
     seed: int = 0
@@ -609,6 +640,13 @@ class AuditConfig:
     corollaries: int = 0
     equality_families: int = 0
     tolerances: Tolerances = DEFAULT_TOLERANCES
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if name != "tolerances" and not (
+                    isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= 0):
+                raise IndexOutOfRange(f"{name} {value!r} must be an integer >= 0")
 
 
 def _rand_space(rng, probability: bool = False) -> MeasureSpace:
@@ -719,10 +757,8 @@ def _identity_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
 
 def _af_instance(pool: str, rng, config: AuditConfig, idx: int) -> list[AuditReport]:
     triples = _rand_triples(rng, pool)
-    return [
-        _tagged(check_alexandrov_fenchel(triples, m, config.tolerances), instance=idx)
-        for m in range(1, len(triples) + 1)
-    ]
+    reports = _af_reports(triples, range(1, len(triples) + 1), config.tolerances)
+    return [_tagged(rep, instance=idx) for rep in reports]
 
 
 def _concave_chain_instance(rng, config: AuditConfig, idx: int) -> list[AuditReport]:
@@ -877,11 +913,8 @@ def audit_suite(config: AuditConfig) -> list[AuditReport]:
 
     Deterministic for a fixed config (one seeded RNG consumed in a fixed
     section order); returns the reports in generation order. Violations are
-    reported, not raised; see :func:`violations`. A negative seed raises
-    :class:`IndexOutOfRange`.
+    reported, not raised; see :func:`violations`.
     """
-    if config.seed < 0:
-        raise IndexOutOfRange(f"seed {config.seed} must be at least 0")
     rng = np.random.default_rng(config.seed)
     return [
         report

@@ -124,6 +124,12 @@ class PairTriple(_ReadOnlyArrays):
         same_space(self.p, self.q)
         _LIVE_TRIPLES[id(self.generator), id(self.p), id(self.q)] = self
 
+    def __setstate__(self, state: dict) -> None:
+        """Loading freezes the arrays and enters the copy among the live
+        triples, as construction does, so its cached factors are read."""
+        super().__setstate__(state)
+        _LIVE_TRIPLES[id(self.generator), id(self.p), id(self.q)] = self
+
     @property
     def space(self) -> MeasureSpace:
         return self.p.space
@@ -231,10 +237,12 @@ def _log_terms(space: MeasureSpace, log_factors: Sequence, exponents: Sequence) 
 def _exp_integral(space: MeasureSpace, acc: np.ndarray, log_factors: Sequence) -> float:
     """Integral of exp(acc), from the terms exp(acc) * mu; ``acc`` combines the
     ``log_factors``. See the module docstring."""
-    mu, top = space.weights, acc.max()
+    mu, top, gather = space.weights, acc.max(), acc.size >= _GATHER_MIN
+    # the least log, read once and only where a test below reads it
+    low = acc.min() if gather or space.total_mass > 1.0 else None
     if top <= _LOG_HIGH - max(0.0, math.log(space.total_mass)) and (
-            space.total_mass <= 1.0 or acc.min() >= _LOG_LOW):  # every term finite and near
-        if acc.size >= _GATHER_MIN and acc.min() == -math.inf:  # zero terms skip the exp
+            space.total_mass <= 1.0 or low >= _LOG_LOW):  # every term finite and near
+        if gather and low == -math.inf:  # zero terms skip the exp
             live = np.flatnonzero(acc > -math.inf)
             terms = np.zeros(acc.size)
             terms[live] = np.exp(acc[live]) * mu[live]

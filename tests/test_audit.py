@@ -23,6 +23,7 @@ from mixdiv import (
     validate_density,
     violations,
 )
+from mixdiv import audit
 from mixdiv.audit import Tolerances, report_to_dict
 from mixdiv.errors import (
     DegenerateIndices,
@@ -241,6 +242,69 @@ def test_af_concave_vector_accepted(two_atom):
     rep = check_alexandrov_fenchel([t1, t2], m=1)
     assert rep.detail["shape"] == "concave"
     assert rep.holds
+
+
+def _one_m_reports(triples, idx):
+    return [audit._tagged(check_alexandrov_fenchel(triples, m), instance=idx)
+            for m in range(1, len(triples) + 1)]
+
+
+def test_af_instance_reports_equal_the_one_m_checks():
+    config = AuditConfig()
+    seen = set()
+    for pool in ("convex", "concave"):
+        for seed in range(40):
+            reports = audit._af_instance(pool, np.random.default_rng(seed), config, seed)
+            triples = audit._rand_triples(np.random.default_rng(seed), pool)
+            assert reports == _one_m_reports(triples, seed), (pool, seed)
+            assert reports_to_json(reports) == reports_to_json(_one_m_reports(triples, seed))
+            seen.add((pool, len(triples)))
+    assert seen == {(pool, n) for pool in ("convex", "concave") for n in range(1, 7)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_af_shared_values_for_repeated_and_scaled_families(two_atom, n):
+    p, q = two_atom["p1"], two_atom["q1"]
+    cube = make_generator("power", alpha=3.0)
+    families = ([PairTriple(cube, p, q)] * n,
+                [PairTriple(scale_generator(cube, 0.5 + lam), p, q) for lam in range(n)])
+    for triples in families:
+        reports = audit._af_reports(triples, range(1, n + 1), audit.DEFAULT_TOLERANCES)
+        assert [audit._tagged(r, instance=n) for r in reports] == _one_m_reports(triples, n)
+
+
+def test_af_instance_raises_what_its_first_failing_m_raises():
+    space = make_space([0.5, 0.5])
+    p = validate_density(space, [1.0, 1.0], require_prob=True)
+    q = validate_density(space, [2e-100, 1.9999999999999998], require_prob=True)
+    # the mixed value is about 1.25e199: m = 1 passes, [D]**2 is beyond the float range
+    triples = [PairTriple(make_generator("power", alpha=3.0), p, q) for _ in range(3)]
+    assert check_alexandrov_fenchel(triples, 1).holds
+    with pytest.raises(MixdivError) as one_m:
+        check_alexandrov_fenchel(triples, 2)
+    with pytest.raises(MixdivError) as every_m:
+        audit._af_reports(triples, range(1, 4), audit.DEFAULT_TOLERANCES)
+    assert (type(every_m.value), str(every_m.value)) == (type(one_m.value), str(one_m.value))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_af_instance_evaluates_each_value_once(monkeypatch, n):
+    calls = {"mixed": 0, "pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(audit, "mixed_divergence", counted("mixed", audit.mixed_divergence))
+    monkeypatch.setattr(audit, "f_divergence", counted("pair", audit.f_divergence))
+    rng = np.random.default_rng(n)
+    space = audit._rand_space(rng)
+    triples = [audit._rand_triple(rng, space, "convex") for _ in range(n)]
+    reports = audit._af_reports(triples, range(1, n + 1), audit.DEFAULT_TOLERANCES)
+    assert len(reports) == n
+    assert calls == {"mixed": n * (n + 1) // 2, "pair": n}
 
 
 # --- the concave chain ---------------------------------------------------------------------
@@ -593,6 +657,15 @@ def test_equality_predictions_read_the_log_factors():
 
 def test_audit_suite_empty_config():
     assert audit_suite(AuditConfig(seed=1)) == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("identities", -3), ("jensen", 2.5), ("af_convex", "2"), ("corollaries", True), ("seed", -1),
+])
+def test_audit_config_rejects_bad_counts(field, value):
+    with pytest.raises(IndexOutOfRange, match=f"^{field} "):
+        audit_suite(AuditConfig(**{"seed": 1, "jensen": 2, field: value}))
+    assert len(audit_suite(AuditConfig(seed=1, identities=np.int64(0), jensen=2))) == 2
 
 
 def test_audit_suite_small_run_clean():

@@ -412,6 +412,19 @@ def test_spaces_densities_and_cached_triples_pickle():
         assert array.flags.writeable is False
 
 
+def test_an_unpickled_triple_reads_its_cached_factor(monkeypatch):
+    import pickle
+
+    p, q = _pair_densities(14)
+    t = PairTriple(make_generator("power", alpha=2.0), p, q)
+    value = f_divergence(t.generator, t.p, t.q)  # caches the factor
+    copy = pickle.loads(pickle.dumps(t))
+    passes = _counted_passes(monkeypatch)
+    assert _bits(f_divergence(copy.generator, copy.p, copy.q)) == _bits(value)
+    assert passes == []
+    assert divergence._LIVE_TRIPLES[id(copy.generator), id(copy.p), id(copy.q)] is copy
+
+
 def test_threads_build_triples_and_read_them_bit_for_bit():
     import gc
     import threading
