@@ -256,8 +256,9 @@ def test_af_instance_reports_equal_the_one_m_checks():
         for seed in range(40):
             reports = audit._af_instance(pool, np.random.default_rng(seed), config, seed)
             triples = audit._rand_triples(np.random.default_rng(seed), pool)
-            assert reports == _one_m_reports(triples, seed), (pool, seed)
-            assert reports_to_json(reports) == reports_to_json(_one_m_reports(triples, seed))
+            want = _one_m_reports(triples, seed)
+            assert reports == want, (pool, seed)
+            assert reports_to_json(reports) == reports_to_json(want)
             seen.add((pool, len(triples)))
     assert seen == {(pool, n) for pool in ("convex", "concave") for n in range(1, 7)}
 
@@ -665,7 +666,10 @@ def test_audit_suite_empty_config():
 def test_audit_config_rejects_bad_counts(field, value):
     with pytest.raises(IndexOutOfRange, match=f"^{field} "):
         audit_suite(AuditConfig(**{"seed": 1, "jensen": 2, field: value}))
-    assert len(audit_suite(AuditConfig(seed=1, identities=np.int64(0), jensen=2))) == 2
+
+
+def test_audit_config_takes_numpy_integers():
+    assert len(audit_suite(AuditConfig(seed=np.int64(1), identities=np.int64(0), jensen=2))) == 2
 
 
 def test_audit_suite_small_run_clean():
